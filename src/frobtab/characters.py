@@ -5,13 +5,18 @@ piece of the subquotient (d-th power of the minor ideal) / (d+1-st power).
 Everything here is computed by exact GF(2) linear algebra over the monomial
 basis of the squarefree ring:
 
-* spanning sets for each ideal power in each bidegree,
+* ranks of each ideal power in each weight space,
 * diagonal-torus characters of the subquotients (ranks weight by weight),
 * certification that the proposed straight-tableau basis really is one
   (independent modulo the higher power, and spanning the lower one).
 
-Spanning sets and echelon bases are cached per (power, bidegree, n); the
-verification of a whole grid of triples reuses them heavily.
+Permuting the letters 1..n preserves the minor ideal and all its powers, so
+the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
+bidegree (a, b) depends only on (d, a, b, i, j): neither on n nor on where
+the entries 2 and 1 sit.  One echelon basis per such orbit is built on the
+(i+j)-letter alphabet and cached under that key; every weight space of every
+n is relabelled onto it.  ``ideal_power_span`` keeps the brute-force spanning
+set over a whole bidegree, for reference.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
+from typing import Iterable, Iterator
 
 from .gf2_exterior import ExtElement, minor, monomial
-from .linalg_gf2 import EchelonBasis, element_vector, monomial_basis
+from .linalg_gf2 import EchelonBasis
 from .standard_monomials import IndexTriple, basis_index_set, case_tag, two_standard_monomial
 from .symfunc import SymPoly, expected_character, h_squarefree, schur
 from .tableaux import transpose_shape
@@ -71,87 +78,199 @@ def ideal_power_span(d: int, bidegree: tuple[int, int], n: int) -> tuple[ExtElem
     return _ideal_span_cached(d, bidegree[0], bidegree[1], n)
 
 
-@lru_cache(maxsize=None)
-def _column_index(a: int, b: int, n: int) -> dict[tuple[int, int], int]:
-    return {m: i for i, m in enumerate(monomial_basis((a, b), n))}
-
-
-def _weight_of_masks(xmask: int, ymask: int, n: int) -> tuple[int, ...]:
-    return tuple(((xmask >> i) & 1) + ((ymask >> i) & 1) for i in range(n))
-
-
-def _element_weight(e: ExtElement) -> tuple[int, ...]:
-    xm, ym = next(iter(e.term_masks))
-    return _weight_of_masks(xm, ym, e.n)
+def _orbits(a: int, b: int, n: int) -> Iterator[tuple[int, int]]:
+    """(i, j) of every weight 2^i 1^j 0^(n-i-j) with monomials of bidegree (a, b)."""
+    for i in range(min(a, b) + 1):
+        j = a + b - 2 * i
+        if i + j <= n:
+            yield i, j
 
 
 @lru_cache(maxsize=None)
-def _weight_ranks(d: int, a: int, b: int, n: int) -> dict[tuple[int, ...], int]:
-    """Rank of the d-th ideal power in bidegree (a, b), weight by weight.
+def _orbit_columns(j: int, k: int) -> dict[int, int]:
+    """Column index of a weight space with j letters of weight 1, k of them in x.
 
-    The spanning products are weight homogeneous, so the weight spaces are
-    spanned independently and per-weight echelon bases give the dimensions.
+    A monomial of the weight space is fixed by which weight-1 letters carry
+    x; the key is that choice as a j-bit mask, packed in letter order.
     """
-    cols = _column_index(a, b, n)
-    by_weight: dict[tuple[int, ...], EchelonBasis] = {}
-    for g in _ideal_span_cached(d, a, b, n):
-        w = _element_weight(g)
-        by_weight.setdefault(w, EchelonBasis()).add(element_vector(g, cols))
-    return {w: eb.rank for w, eb in by_weight.items()}
+    return {sum(1 << p for p in ps): c for c, ps in enumerate(combinations(range(j), k))}
+
+
+def _compress(v: int, mask: int) -> int:
+    """The bits of ``v`` at the set bits of ``mask``, packed to the low end in order."""
+    out, bit = 0, 1
+    while mask:
+        low = mask & -mask
+        if v & low:
+            out |= bit
+        bit <<= 1
+        mask ^= low
+    return out
+
+
+def _take(p: int, r2: int, r1: int) -> tuple[int, int]:
+    """Residual masks after one more use of letter bit ``p``."""
+    if r2 & p:
+        return r2 ^ p, r1 | p
+    return r2, r1 ^ p
+
+
+def _minor_products(
+    d: int, letters: int, r2: int, r1: int
+) -> Iterator[tuple[set[tuple[int, int]], int, int]]:
+    """Nonzero products of d distinct minors that fit under a residual weight.
+
+    The weight is given by the masks ``r2`` and ``r1`` of the letters that
+    may still be used twice and once.  Yields each product's terms as
+    (xmask, ymask) pairs with the residual masks left after it.
+    """
+    pairs = list(combinations(range(letters), 2))
+
+    def extend(start, left, terms, r2, r1):
+        if not left:
+            yield terms, r2, r1
+            return
+        for k in range(start, len(pairs) - left + 1):
+            p, q = pairs[k]
+            bp, bq = 1 << p, 1 << q
+            if not (bp & (r2 | r1) and bq & (r2 | r1)):
+                continue
+            prod: set[tuple[int, int]] = set()
+            for xm, ym in terms:
+                for bx, by in ((bp, bq), (bq, bp)):
+                    if not (xm & bx or ym & by):
+                        prod ^= {(xm | bx, ym | by)}
+            if prod:
+                s2, s1 = _take(bp, r2, r1)
+                yield from extend(k + 1, left - 1, prod, *_take(bq, s2, s1))
+
+    return extend(0, d, {(0, 0)}, r2, r1)
 
 
 @lru_cache(maxsize=None)
-def _ideal_echelon(d: int, a: int, b: int, n: int) -> EchelonBasis:
-    cols = _column_index(a, b, n)
-    eb = EchelonBasis()
-    for g in _ideal_span_cached(d, a, b, n):
-        eb.add(element_vector(g, cols))
-    return eb
+def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
+    """Echelon basis of the d-th ideal power in the weight space 2^i 1^j of
+    bidegree (a, b), on the letters 0..i+j-1 (0..i-1 of weight 2).
+
+    Spanning products: d distinct minors whose letters fit under the weight,
+    times the monomial the rest of the weight fixes.  A letter left with
+    weight 2 goes to both x and y; the letters left with weight 1 are split
+    so that the x-degree is a.
+    """
+    block = EchelonBasis()
+    if d > min(a, b) or not 0 <= a - i <= j:
+        return block
+    cols = _orbit_columns(j, a - i)
+    for terms, r2, r1 in _minor_products(d, i + j, (1 << i) - 1, ((1 << j) - 1) << i):
+        free = [1 << p for p in range(i + j) if r1 >> p & 1]
+        k = a - d - r2.bit_count()
+        if k < 0:
+            continue
+        for xs in combinations(free, k):
+            sx = r2 | sum(xs)
+            sy = r2 | (r1 ^ sum(xs))
+            v = 0
+            for xm, ym in terms:
+                if not (xm & sx or ym & sy):
+                    v |= 1 << cols[(xm | sx) >> i]
+            block.add(v)
+    return block
+
+
+def _rank(d: int, a: int, b: int, i: int, j: int) -> int:
+    return _orbit_block(d, a, b, i, j).rank
+
+
+def _weight_pieces(terms: Iterable[tuple[int, int]]) -> dict[tuple[int, int, int], int]:
+    """Terms split by bidegree and weight, each piece relabelled onto its orbit.
+
+    Keys are (x-degree, mask of the letters of weight 2, mask of the letters
+    of weight 1).  Each value is the piece's row in the columns of
+    ``_orbit_columns``; the relabelling keeps the order of the letters.
+    """
+    pieces: dict[tuple[int, int, int], int] = {}
+    for xm, ym in terms:
+        p2, p1 = xm & ym, xm ^ ym
+        a = xm.bit_count()
+        col = _orbit_columns(p1.bit_count(), a - p2.bit_count())[_compress(xm, p1)]
+        key = (a, p2, p1)
+        pieces[key] = pieces.get(key, 0) | 1 << col
+    return pieces
 
 
 def quotient_dimension(idx: IndexTriple) -> int:
     """dim of (d-th power)/(d+1-st power) in bidegree (a, b)."""
-    lo = _ideal_echelon(idx.d, idx.a, idx.b, idx.n).rank
-    hi = _ideal_echelon(idx.d + 1, idx.a, idx.b, idx.n).rank
-    return lo - hi
+    a, b, d, n = idx.a, idx.b, idx.d, idx.n
+    return sum(
+        comb(n, i) * comb(n - i, j) * (_rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j))
+        for i, j in _orbits(a, b, n)
+    )
 
 
 def subquotient_character(idx: IndexTriple) -> SymPoly:
     """Diagonal-torus character of the subquotient at the index triple."""
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
-    lo = _weight_ranks(d, a, b, n)
-    hi = _weight_ranks(d + 1, a, b, n)
     coeffs: dict[tuple[int, ...], int] = {}
-    for w, r in lo.items():
-        c = r - hi.get(w, 0)
-        if c:
-            coeffs[w] = c
+    for i, j in _orbits(a, b, n):
+        c = _rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j)
+        if not c:
+            continue
+        for twos in combinations(range(n), i):
+            rest = [p for p in range(n) if p not in twos]
+            for ones in combinations(rest, j):
+                w = [0] * n
+                for p in twos:
+                    w[p] = 2
+                for p in ones:
+                    w[p] = 1
+                coeffs[tuple(w)] = c
     return SymPoly(coeffs, n)
 
 
 def in_ideal_power(e: ExtElement, d: int) -> bool:
     """Membership of an element in the d-th power of the minor ideal.
 
-    Inhomogeneous elements are split into bidegree pieces (the ideal power
-    is spanned by bihomogeneous elements, so membership is piecewise).
+    The element is split into bidegree and weight pieces (the ideal power is
+    spanned by pieces of one bidegree and one weight, so membership is
+    piecewise), and each piece is reduced against its orbit's block.
     """
     if e.is_zero:
         return True
     if d <= 0:
         return True
-    pieces: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for xm, ym in e.term_masks:
-        key = (xm.bit_count(), ym.bit_count())
-        pieces.setdefault(key, []).append((xm, ym))
-    for (a, b), masks in pieces.items():
-        eb = _ideal_echelon(d, a, b, e.n)
-        cols = _column_index(a, b, e.n)
-        v = 0
-        for m in masks:
-            v |= 1 << cols[m]
-        if not eb.contains(v):
+    for (a, p2, p1), v in _weight_pieces(e.term_masks).items():
+        i, j = p2.bit_count(), p1.bit_count()
+        if not _orbit_block(d, a, 2 * i + j - a, i, j).contains(v):
             return False
     return True
+
+
+def _basis_certificate(elements: list[ExtElement], idx: IndexTriple) -> tuple[bool, bool]:
+    """(independent, spanning) of elements of bidegree (a, b) modulo the
+    d+1-st power, with spanning meant as spanning the d-th power.
+
+    Standard monomials are weight homogeneous, so each element is one row
+    of one weight space.  Ranks add up over weight spaces: the elements span
+    when the rank they add over the d+1-st power, summed over the weights
+    they reach, is the dimension of the subquotient.
+    """
+    a, b, d = idx.a, idx.b, idx.d
+    joint: dict[tuple[int, int], EchelonBasis] = {}
+    added = 0
+    for e in elements:
+        for (x_degree, p2, p1), v in _weight_pieces(e.term_masks).items():
+            i, j = p2.bit_count(), p1.bit_count()
+            if (x_degree, 2 * i + j - x_degree) != (a, b):
+                raise ValueError(f"element {e} is not of bidegree {(a, b)}")
+            eb = joint.get((p2, p1))
+            if eb is None:
+                eb = joint[(p2, p1)] = _orbit_block(d + 1, a, b, i, j).copy()
+            added += eb.add(v)
+    gained = sum(
+        eb.rank - _rank(d + 1, a, b, p2.bit_count(), p1.bit_count())
+        for (p2, p1), eb in joint.items()
+    )
+    return added == len(elements), gained == quotient_dimension(idx)
 
 
 @dataclass(frozen=True)
@@ -194,15 +313,9 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
     )
 
     tabs = basis_index_set(idx)
-    cols = _column_index(a, b, n)
-    higher = _ideal_echelon(d + 1, a, b, n)
-    joint = higher.copy()
-    added = 0
-    for t in tabs:
-        if joint.add(element_vector(two_standard_monomial(t, idx), cols)):
-            added += 1
-    independent = added == len(tabs)
-    spanning = joint.rank == _ideal_echelon(d, a, b, n).rank
+    independent, spanning = _basis_certificate(
+        [two_standard_monomial(t, idx) for t in tabs], idx
+    )
 
     return CharacterReport(
         a=a,

@@ -7,25 +7,20 @@ Subcommands:
 * ``character``   print a subquotient character (JSON or CSV)
 * ``verify-all``  run the character/basis verification over a grid of triples
 
-Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input.
-
-``FROBTAB_THREADS`` controls the worker pool for ``verify-all``: unset runs
-single-threaded, ``0`` uses one worker per CPU, any other integer is the
-worker count.  Output order is the submission order regardless of thread
-count, so results are byte-for-byte reproducible.
+Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input,
+3 straightening gave up after ``straightening.ITERATION_CAP`` steps (an
+internal limit, not a verdict on the input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .characters import in_ideal_power, subquotient_character, verify_triple
 from .standard_monomials import DomainError, IndexTriple, standard_monomial
-from .straightening import two_straighten
+from .straightening import StraighteningLimitExceeded, two_straighten
 from .tableaux import enumerate_tableaux, format_tableau, parse_tableau
 
 __all__ = ["main"]
@@ -128,18 +123,6 @@ def _read_grid_config(path: str) -> dict[str, int]:
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FROBTAB_THREADS")
-    if raw is None:
-        return 1
-    count = int(raw)
-    if count == 0:
-        return os.cpu_count() or 1
-    if count < 0:
-        raise ValueError("FROBTAB_THREADS must be >= 0")
-    return count
-
-
 def _report_line(report) -> str:
     return json.dumps(
         {
@@ -178,13 +161,7 @@ def _cmd_verify_all(args) -> int:
         for b in range(0, a + 1)
         for d in range(0, b + 1)
     ]
-    workers = _worker_count()
-    if workers == 1:
-        reports = [verify_triple(idx) for idx in triples]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(verify_triple, idx) for idx in triples]
-            reports = [f.result() for f in futures]
+    reports = [verify_triple(idx) for idx in triples]
 
     lines = [_report_line(r) for r in reports]
     failed = sum(1 for r in reports if not r.ok)
@@ -212,6 +189,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StraighteningLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

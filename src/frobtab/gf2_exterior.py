@@ -23,8 +23,6 @@ __all__ = [
     "Monomial",
     "ExtElement",
     "mono_mul",
-    "elem_add",
-    "elem_mul",
     "x_var",
     "y_var",
     "monomial",
@@ -209,14 +207,6 @@ class ExtElement:
 
     def __repr__(self) -> str:
         return f"ExtElement({self}, n={self.n})"
-
-
-def elem_add(e1: ExtElement, e2: ExtElement) -> ExtElement:
-    return e1 + e2
-
-
-def elem_mul(e1: ExtElement, e2: ExtElement) -> ExtElement:
-    return e1 * e2
 
 
 def x_var(i: int, n: int) -> ExtElement:

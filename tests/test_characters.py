@@ -1,8 +1,20 @@
-"""Character computation and basis certification against the GF(2) oracle."""
+"""Character computation and basis certification against the GF(2) oracle.
+
+The orbit engine is checked against a brute-force path kept here: the full
+spanning set of each ideal power over a whole bidegree, reduced weight by
+weight and over the whole bidegree at once.
+"""
+
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobtab.characters import (
+    _basis_certificate,
+    _ideal_span_cached,
+    _orbit_block,
     ideal_power_span,
     in_ideal_power,
     pieri_filtration_check,
@@ -12,8 +24,59 @@ from frobtab.characters import (
     verify_triple,
 )
 from frobtab.gf2_exterior import ExtElement, minor, monomial, x_var, y_var
-from frobtab.standard_monomials import IndexTriple
+from frobtab.linalg_gf2 import EchelonBasis, element_vector, monomial_basis
+from frobtab.standard_monomials import IndexTriple, basis_index_set, two_standard_monomial
 from frobtab.symfunc import SymPoly
+
+# (a, b, n) of the differential grid: a <= 6, n <= 6
+GRID = [(a, b, n) for n in range(1, 7) for a in range(0, 7) for b in range(0, a + 1)]
+
+
+def _columns(a, b, n):
+    return {m: c for c, m in enumerate(monomial_basis((a, b), n))}
+
+
+def _weight(xm, ym, n):
+    return tuple((xm >> p & 1) + (ym >> p & 1) for p in range(n))
+
+
+def brute_weight_ranks(d, a, b, n):
+    """Rank of the d-th ideal power in each weight space of bidegree (a, b),
+    from the full spanning set; weights of rank 0 are absent."""
+    cols = _columns(a, b, n)
+    by_weight = {}
+    for g in ideal_power_span(d, (a, b), n):
+        w = _weight(*next(iter(g.term_masks)), n)
+        by_weight.setdefault(w, EchelonBasis()).add(element_vector(g, cols))
+    return {w: eb.rank for w, eb in by_weight.items()}
+
+
+@lru_cache(maxsize=None)
+def brute_echelon(d, a, b, n):
+    """Echelon basis of the d-th ideal power over the whole bidegree (a, b)."""
+    cols = _columns(a, b, n)
+    return EchelonBasis(element_vector(g, cols) for g in ideal_power_span(d, (a, b), n))
+
+
+def brute_certificate(elements, idx):
+    """(independent, spanning) checked over the whole bidegree at once."""
+    cols = _columns(idx.a, idx.b, idx.n)
+    joint = brute_echelon(idx.d + 1, idx.a, idx.b, idx.n).copy()
+    added = sum(joint.add(element_vector(e, cols)) for e in elements)
+    full = brute_echelon(idx.d, idx.a, idx.b, idx.n)
+    return added == len(elements), joint.rank == full.rank
+
+
+@pytest.fixture(scope="module")
+def brute_ranks():
+    """brute_weight_ranks for every d <= b+1 on GRID; frees the spans after."""
+    ranks = {
+        (d, a, b, n): brute_weight_ranks(d, a, b, n)
+        for a, b, n in GRID
+        for d in range(0, b + 2)
+    }
+    _ideal_span_cached.cache_clear()
+    return ranks
 
 
 def test_ideal_span_degree_zero_is_full_monomial_space():
@@ -89,3 +152,79 @@ def test_pieri_small_grid():
 def test_pieri_requires_strict_inequality():
     with pytest.raises(ValueError):
         pieri_filtration_check(2, 2, 3)
+
+
+def test_orbit_ranks_match_brute_force_at_every_weight(brute_ranks):
+    for a, b, n in GRID:
+        weights = {_weight(xm, ym, n) for xm, ym in monomial_basis((a, b), n)}
+        for d in range(0, b + 2):
+            brute = brute_ranks[(d, a, b, n)]
+            assert set(brute) <= weights
+            for w in weights:
+                block = _orbit_block(d, a, b, w.count(2), w.count(1))
+                assert block.rank == brute.get(w, 0), (d, a, b, n, w)
+
+
+def test_dimensions_and_characters_match_brute_force(brute_ranks):
+    for a, b, n in GRID:
+        for d in range(0, b + 1):
+            lo, hi = brute_ranks[(d, a, b, n)], brute_ranks[(d + 1, a, b, n)]
+            idx = IndexTriple(a, b, d, n)
+            assert quotient_dimension(idx) == sum(lo.values()) - sum(hi.values()), idx
+            expected = SymPoly({w: r - hi.get(w, 0) for w, r in lo.items()}, n)
+            assert subquotient_character(idx) == expected, idx
+
+
+@st.composite
+def oracle_cases(draw):
+    """(element in the d-th power, monomial outside it or None, d, n)."""
+    n = draw(st.integers(2, 6))
+    a = draw(st.integers(1, min(n, 4)))
+    b = draw(st.integers(1, a))
+    d = draw(st.integers(1, b))
+    span = ideal_power_span(d, (a, b), n)
+    picks = draw(st.lists(st.sampled_from(span), max_size=5)) if span else []
+    member = ExtElement.zero(n)
+    for g in picks:
+        member = member + g
+    cols = _columns(a, b, n)
+    ideal = brute_echelon(d, a, b, n)
+    outside = [m for m in cols if not ideal.contains(1 << cols[m])]
+    m = draw(st.sampled_from(outside)) if outside else None
+    return member, m, d, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_in_ideal_power_agrees_with_full_bidegree_echelon(case):
+    member, m, d, n = case
+    assert in_ideal_power(member, d)
+    if m is not None:
+        a, b = m[0].bit_count(), m[1].bit_count()
+        outsider = member + ExtElement((m,), n)
+        v = element_vector(outsider, _columns(a, b, n))
+        assert not brute_echelon(d, a, b, n).contains(v)
+        assert not in_ideal_power(outsider, d)
+
+
+def test_certificate_rejects_duplicated_and_dropped_basis_elements():
+    checked = 0
+    for n in range(1, 5):
+        for a in range(1, 5):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    idx = IndexTriple(a, b, d, n)
+                    basis = [two_standard_monomial(t, idx) for t in basis_index_set(idx)]
+                    if not basis:
+                        continue
+                    duplicated = basis + [basis[-1]]
+                    dropped = basis[1:]
+                    assert _basis_certificate(basis, idx) == (True, True), idx
+                    assert _basis_certificate(duplicated, idx) == (False, True), idx
+                    assert _basis_certificate(dropped, idx) == (True, False), idx
+                    for elements in (basis, duplicated, dropped):
+                        assert _basis_certificate(elements, idx) == brute_certificate(
+                            elements, idx
+                        ), idx
+                    checked += 1
+    assert checked >= 40

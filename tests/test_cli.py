@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from frobtab import straightening
 from frobtab.cli import main
 
 
@@ -106,19 +107,19 @@ def test_verify_all_rejects_unknown_grid_keys(tmp_path, capsys):
     assert "unknown grid keys" in err
 
 
-def test_thread_count_does_not_change_output(capsys, monkeypatch):
-    monkeypatch.delenv("FROBTAB_THREADS", raising=False)
-    _, serial, _ = run(capsys, "verify-all", "--max-a", "2", "--max-n", "2")
-    monkeypatch.setenv("FROBTAB_THREADS", "3")
-    _, threaded, _ = run(capsys, "verify-all", "--max-a", "2", "--max-n", "2")
-    assert serial == threaded
-
-
-def test_bad_thread_count_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("FROBTAB_THREADS", "-2")
-    code, _, err = run(capsys, "verify-all", "--max-a", "1", "--max-n", "1")
-    assert code == 2
-    assert "FROBTAB_THREADS" in err
+def test_straightening_limit_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
+    monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    code, out, err = run(
+        capsys,
+        "straighten",
+        "--tableau", "1 2 2 4 5 / 3 3 6 7 7",
+        "--a", "5", "--b", "5", "--d", "5", "--n", "7",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "exceeded 0 steps" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_usage_error_exit_code():
