@@ -42,6 +42,7 @@ from .standard_monomials import (
     two_standard_monomial,
 )
 from .straightening import (
+    StraighteningInvariantError,
     StraighteningLimitExceeded,
     TableauSum,
     classical_straighten,
@@ -55,6 +56,7 @@ from .symfunc import (
     CASE_ALL_EQUAL,
     CASE_GENERAL,
     CASE_OFF_BY_ONE,
+    OrbitCharacter,
     SymPoly,
     alternating_sum_matches_distinct_rows,
     classify_triple,
@@ -123,6 +125,7 @@ __all__ = [
     # straightening
     "TableauSum",
     "StraighteningLimitExceeded",
+    "StraighteningInvariantError",
     "classical_straighten",
     "two_straighten",
     "collapse_interlocked",
@@ -131,6 +134,7 @@ __all__ = [
     "interlocked_triple",
     # symmetric functions
     "SymPoly",
+    "OrbitCharacter",
     "CASE_GENERAL",
     "CASE_ALL_EQUAL",
     "CASE_OFF_BY_ONE",

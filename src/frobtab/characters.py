@@ -6,7 +6,8 @@ Everything here is computed by exact GF(2) linear algebra over the monomial
 basis of the squarefree ring:
 
 * ranks of each ideal power in each weight space,
-* diagonal-torus characters of the subquotients (ranks weight by weight),
+* diagonal-torus characters of the subquotients, one coefficient per
+  weight orbit (an ``OrbitCharacter``),
 * certification that the proposed straight-tableau basis really is one
   (independent modulo the higher power, and spanning the lower one).
 
@@ -24,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator
 
 from .gf2_exterior import ExtElement, minor, monomial
 from .linalg_gf2 import EchelonBasis
 from .standard_monomials import IndexTriple, basis_index_set, case_tag, two_standard_monomial
-from .symfunc import SymPoly, expected_character, h_squarefree, schur
+from .symfunc import OrbitCharacter, SymPoly, expected_character, h_squarefree, schur
 from .tableaux import transpose_shape
 
 __all__ = [
@@ -198,33 +198,19 @@ def _weight_pieces(terms: Iterable[tuple[int, int]]) -> dict[tuple[int, int, int
     return pieces
 
 
-def quotient_dimension(idx: IndexTriple) -> int:
-    """dim of (d-th power)/(d+1-st power) in bidegree (a, b)."""
+def subquotient_character(idx: IndexTriple) -> OrbitCharacter:
+    """Diagonal-torus character of the subquotient at the index triple: the
+    coefficient of the orbit (i, j) is r_d(i, j) - r_{d+1}(i, j)."""
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
-    return sum(
-        comb(n, i) * comb(n - i, j) * (_rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j))
-        for i, j in _orbits(a, b, n)
+    return OrbitCharacter(
+        {(i, j): _rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j) for i, j in _orbits(a, b, n)},
+        n,
     )
 
 
-def subquotient_character(idx: IndexTriple) -> SymPoly:
-    """Diagonal-torus character of the subquotient at the index triple."""
-    a, b, d, n = idx.a, idx.b, idx.d, idx.n
-    coeffs: dict[tuple[int, ...], int] = {}
-    for i, j in _orbits(a, b, n):
-        c = _rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j)
-        if not c:
-            continue
-        for twos in combinations(range(n), i):
-            rest = [p for p in range(n) if p not in twos]
-            for ones in combinations(rest, j):
-                w = [0] * n
-                for p in twos:
-                    w[p] = 2
-                for p in ones:
-                    w[p] = 1
-                coeffs[tuple(w)] = c
-    return SymPoly(coeffs, n)
+def quotient_dimension(idx: IndexTriple) -> int:
+    """dim of (d-th power)/(d+1-st power) in bidegree (a, b)."""
+    return subquotient_character(idx).evaluate_at_ones()
 
 
 def in_ideal_power(e: ExtElement, d: int) -> bool:
@@ -283,8 +269,8 @@ class CharacterReport:
     n: int
     case: str
     match: bool
-    computed: SymPoly
-    expected: SymPoly
+    computed: OrbitCharacter
+    expected: OrbitCharacter
     basis_count: int
     quotient_dim: int
     independent: bool
@@ -307,10 +293,8 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
     computed = subquotient_character(idx)
     expected = expected_character(a, b, d, n)
-    weights = set(dict(computed.items())) | set(dict(expected.items()))
-    mismatched = tuple(
-        sorted(w for w in weights if computed.coeff(w) != expected.coeff(w))
-    )
+    # the difference of two orbit tables expands only the orbits that differ
+    mismatched = tuple(w for w, _ in (computed - expected).items())
 
     tabs = basis_index_set(idx)
     independent, spanning = _basis_certificate(
@@ -327,7 +311,7 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
         computed=computed,
         expected=expected,
         basis_count=len(tabs),
-        quotient_dim=quotient_dimension(idx),
+        quotient_dim=computed.evaluate_at_ones(),
         independent=independent,
         spanning=spanning,
         mismatched_weights=mismatched,
@@ -337,7 +321,7 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
 def telescoping_check(a: int, b: int, n: int) -> bool:
     """Sum of all subquotient characters equals the character of the full
     bidegree-(a, b) piece of the squarefree ring."""
-    total = SymPoly.zero(n)
+    total = OrbitCharacter.zero(n)
     for d in range(0, b + 1):
         total = total + subquotient_character(IndexTriple(a, b, d, n))
     return total == h_squarefree(a, n) * h_squarefree(b, n)

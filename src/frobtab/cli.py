@@ -8,8 +8,9 @@ Subcommands:
 * ``verify-all``  run the character/basis verification over a grid of triples
 
 Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input,
-3 straightening gave up after ``straightening.ITERATION_CAP`` steps (an
-internal limit, not a verdict on the input).
+3 an internal error: straightening gave up after
+``straightening.ITERATION_CAP`` steps, or one of its invariants failed (not a
+verdict on the input).
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import sys
 
 from .characters import in_ideal_power, subquotient_character, verify_triple
 from .standard_monomials import DomainError, IndexTriple, standard_monomial
-from .straightening import StraighteningLimitExceeded, two_straighten
+from .straightening import (
+    StraighteningInvariantError,
+    StraighteningLimitExceeded,
+    two_straighten,
+)
 from .tableaux import enumerate_tableaux, format_tableau, parse_tableau
 
 __all__ = ["main"]
@@ -189,7 +194,7 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StraighteningLimitExceeded as exc:
+    except (StraighteningLimitExceeded, StraighteningInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,28 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .gf2_exterior import ExtElement, bidegree_of
+from .gf2_exterior import ExtElement
 
 __all__ = [
-    "HomogeneityError",
     "EchelonBasis",
-    "Gf2Matrix",
     "monomial_basis",
-    "matrix_from_elements",
     "element_vector",
-    "gf2_rank",
-    "rank",
-    "quotient_dim",
-    "in_span",
 ]
-
-
-class HomogeneityError(ValueError):
-    """Raised when elements of mixed bidegree are packed into one matrix."""
 
 
 class EchelonBasis:
@@ -64,10 +52,6 @@ class EchelonBasis:
         return len(self._pivots)
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    return EchelonBasis(rows).rank
-
-
 def monomial_basis(degree: tuple[int, int], n: int) -> list[tuple[int, int]]:
     """All squarefree (xmask, ymask) pairs of the given bidegree, canonical order."""
     dx, dy = degree
@@ -78,85 +62,8 @@ def monomial_basis(degree: tuple[int, int], n: int) -> list[tuple[int, int]]:
     return [(xm, ym) for xm in xmasks for ym in ymasks]
 
 
-@dataclass
-class Gf2Matrix:
-    """Rows are packed ints; bit j of a row is the coefficient of column j."""
-
-    rows: list[int]
-    columns: list[tuple[int, int]]
-    column_index: dict[tuple[int, int], int] = field(repr=False)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
-
 def element_vector(e: ExtElement, column_index: dict[tuple[int, int], int]) -> int:
     v = 0
     for t in e.term_masks:
         v |= 1 << column_index[t]
     return v
-
-
-def matrix_from_elements(
-    elements: Sequence[ExtElement], degree: tuple[int, int], n: int
-) -> Gf2Matrix:
-    """Pack homogeneous elements of one bidegree into a matrix.
-
-    Zero elements become zero rows; any nonzero element of a different
-    bidegree raises ``HomogeneityError``.
-    """
-    for e in elements:
-        bd = bidegree_of(e)
-        if bd != "any" and bd != degree:
-            raise HomogeneityError(f"element of bidegree {bd} in a matrix of bidegree {degree}")
-    columns = monomial_basis(degree, n)
-    column_index = {c: j for j, c in enumerate(columns)}
-    rows = [element_vector(e, column_index) for e in elements]
-    return Gf2Matrix(rows=rows, columns=columns, column_index=column_index)
-
-
-def rank(m: Gf2Matrix) -> int:
-    return gf2_rank(m.rows)
-
-
-def quotient_dim(
-    span_big: Sequence[ExtElement],
-    span_small: Sequence[ExtElement],
-    degree: tuple[int, int],
-    n: int,
-) -> int:
-    """dim(span_big + span_small) - dim(span_small)."""
-    columns = monomial_basis(degree, n)
-    column_index = {c: j for j, c in enumerate(columns)}
-    small = EchelonBasis()
-    for e in span_small:
-        _check_degree(e, degree)
-        small.add(element_vector(e, column_index))
-    base = small.rank
-    for e in span_big:
-        _check_degree(e, degree)
-        small.add(element_vector(e, column_index))
-    return small.rank - base
-
-
-def in_span(
-    e: ExtElement,
-    basis: Sequence[ExtElement],
-    degree: tuple[int, int],
-    n: int,
-) -> bool:
-    columns = monomial_basis(degree, n)
-    column_index = {c: j for j, c in enumerate(columns)}
-    eb = EchelonBasis()
-    for b in basis:
-        _check_degree(b, degree)
-        eb.add(element_vector(b, column_index))
-    _check_degree(e, degree)
-    return eb.contains(element_vector(e, column_index))
-
-
-def _check_degree(e: ExtElement, degree: tuple[int, int]) -> None:
-    bd = bidegree_of(e)
-    if bd != "any" and bd != degree:
-        raise HomogeneityError(f"element of bidegree {bd}, expected {degree}")

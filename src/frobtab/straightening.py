@@ -32,6 +32,7 @@ from .tableaux import Tableau, rows_are_ssyt
 __all__ = [
     "TableauSum",
     "StraighteningLimitExceeded",
+    "StraighteningInvariantError",
     "classical_straighten",
     "two_straighten",
     "collapse_interlocked",
@@ -45,6 +46,10 @@ ITERATION_CAP = 10**6
 
 class StraighteningLimitExceeded(RuntimeError):
     """The work loop exceeded its iteration budget (indicates a cycle bug)."""
+
+
+class StraighteningInvariantError(RuntimeError):
+    """A junction move met a tableau its case analysis rules out (a bug)."""
 
 
 @dataclass(frozen=True)
@@ -306,11 +311,13 @@ _TS_CACHE: dict[tuple, frozenset[Rows]] = {}
 
 def _square_junction(A, B, a) -> list[Rows] | None:
     """Junction moves for the square shape (a, a); None means no move applies."""
-    assert a >= 3, "small square tableaux are always straight or zero"
+    if a < 3:
+        raise StraighteningInvariantError("small square tableaux are always straight or zero")
     pre1, pre2 = A[: a - 3], B[: a - 3]
     if A[a - 2] == A[a - 1]:
         # repeated last column top: one-term swap
-        assert B[a - 3] > A[a - 1]
+        if not B[a - 3] > A[a - 1]:
+            raise StraighteningInvariantError(f"repeated last column top in {A}/{B}")
         new1 = pre1 + (A[a - 3], A[a - 1], B[a - 2])
         new2 = pre2 + (A[a - 2], B[a - 3], B[a - 1])
         return [(new1, new2)]
@@ -327,7 +334,8 @@ def _square_junction(A, B, a) -> list[Rows] | None:
         if B[a - 2] == B[a - 1] and B[a - 3] == A[a - 1]:
             # the full minor chain telescopes to a square: exactly zero
             return []
-        assert B[a - 3] > A[a - 1]
+        if not B[a - 3] > A[a - 1]:
+            raise StraighteningInvariantError(f"minor chain out of order in {A}/{B}")
         t1 = (pre1 + (A[a - 3], A[a - 2], B[a - 3]), pre2 + (A[a - 1], B[a - 2], B[a - 1]))
         t2 = (pre1 + (A[a - 3], A[a - 2], B[a - 2]), pre2 + (A[a - 1], B[a - 3], B[a - 1]))
         if B[a - 2] == B[a - 1]:
@@ -337,10 +345,12 @@ def _square_junction(A, B, a) -> list[Rows] | None:
         jp = [j0 for j0 in range(2, a) if B[j0 - 2] != A[j0]]
         if not jp:
             # full chain with a repeated head: the cycle telescopes to zero
-            assert A[0] == A[1]
+            if A[0] != A[1]:
+                raise StraighteningInvariantError(f"full chain without a repeated head in {A}/{B}")
             return []
         j0 = max(jp)
-        assert B[j0 - 2] > A[j0]
+        if not B[j0 - 2] > A[j0]:
+            raise StraighteningInvariantError(f"chain break out of order in {A}/{B}")
         mid1 = (A[j0 - 2], A[j0], B[j0 - 2])
         mid2 = (A[j0 - 1], B[j0 - 1], B[j0])
         alt1 = (A[j0 - 2], A[j0 - 1], B[j0 - 2])
@@ -364,10 +374,14 @@ def _has_chain(A, B, a) -> bool:
 def _column_junction(A, B, a) -> list[Rows] | None:
     """Junction moves for the shape (a, a-1): the square moves without the
     last bottom box."""
-    assert a >= 3, "small tableaux of this shape are always straight or zero"
+    if a < 3:
+        raise StraighteningInvariantError(
+            "small tableaux of this shape are always straight or zero"
+        )
     pre1, pre2 = A[: a - 3], B[: a - 3]
     if A[a - 2] == A[a - 1]:
-        assert B[a - 3] > A[a - 1]
+        if not B[a - 3] > A[a - 1]:
+            raise StraighteningInvariantError(f"repeated last column top in {A}/{B}")
         return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]))]
     if B[a - 3] == B[a - 2]:
         beta = B[a - 3]
@@ -375,7 +389,8 @@ def _column_junction(A, B, a) -> list[Rows] | None:
             return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]))]
         return [(pre1 + (A[a - 3], B[a - 3], B[a - 2]), pre2 + (A[a - 2], A[a - 1]))]
     if _has_chain(A, B, a):
-        assert B[a - 3] > A[a - 1]
+        if not B[a - 3] > A[a - 1]:
+            raise StraighteningInvariantError(f"minor chain out of order in {A}/{B}")
         return [
             (pre1 + (A[a - 3], A[a - 2], B[a - 3]), pre2 + (A[a - 1], B[a - 2])),
             (pre1 + (A[a - 3], A[a - 2], B[a - 2]), pre2 + (A[a - 1], B[a - 3])),
@@ -389,8 +404,8 @@ def _short_tail_junction(A, B, a, b, d) -> list[Rows] | None:
     Requires some repeated top pair whose minor chain reaches column d; the
     offending value is the last bottom entry against the last top entry.
     """
-    r1 = len(A)
-    assert r1 == d + 2 and d >= 1
+    if not (len(A) == d + 2 and d >= 1):
+        raise StraighteningInvariantError(f"{A}/{B} has no two-box tail for d={d}")
     chain = [
         i0
         for i0 in range(d)
@@ -402,7 +417,8 @@ def _short_tail_junction(A, B, a, b, d) -> list[Rows] | None:
         # chain closes up: zero for a two-box x tail, higher-power content
         # for an x,y tail; dropped either way
         return []
-    assert B[d - 1] > A[d + 1]
+    if not B[d - 1] > A[d + 1]:
+        raise StraighteningInvariantError(f"tail out of order in {A}/{B}")
     new1 = A[: d + 1] + (B[d - 1],)
     new2 = B[: d - 1] + (A[d + 1],)
     return [(new1, new2)]
@@ -472,7 +488,7 @@ def _ts(rows: Rows, a: int, b: int, d: int, order: str) -> frozenset[Rows]:
         else:
             moved = _short_tail_junction(A, B, a, b, d)
         if moved is None:
-            raise AssertionError(
+            raise StraighteningInvariantError(
                 f"no junction move applies to {A}/{B} for (a,b,d)=({a},{b},{d})"
             )
         queue.extend(moved)

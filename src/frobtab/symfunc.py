@@ -7,6 +7,13 @@ polynomial, which is implemented separately by the Newton-style recurrence
 and used as the cross-check), and ``schur_squarefree`` is the 2x2
 Jacobi-Trudi determinant in those truncations.
 
+Characters are symmetric with exponents at most 2, so ``OrbitCharacter``
+stores one coefficient per orbit (i, j) of weights 2^i 1^j 0^(n-i-j).
+``expected_character`` fills that table in closed form: the coefficient of
+``schur_squarefree(r1, r2, n)`` at (i, j) is C(j, r1-i) - C(j, r1+1-i) when
+r1 + r2 = 2i + j, and 0 otherwise.  ``SymPoly`` and the Jacobi-Trudi
+products stay as the reference the closed form is tested against.
+
 Also home to the promotion/demotion bijections between the two families of
 two-row tableau sets whose alternating weight sum reproduces the distinct-row
 character.
@@ -15,7 +22,8 @@ character.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from math import comb
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .tableaux import (
     Tableau,
@@ -27,6 +35,7 @@ from .tableaux import (
 
 __all__ = [
     "SymPoly",
+    "OrbitCharacter",
     "elementary",
     "h_squarefree",
     "schur_squarefree",
@@ -90,6 +99,8 @@ class SymPoly:
         return sorted(self._coeffs.items())
 
     def _binop(self, other: "SymPoly", sign: int) -> "SymPoly":
+        if isinstance(other, OrbitCharacter):
+            other = other.to_sympoly()
         if not isinstance(other, SymPoly):
             return NotImplemented
         if self.n != other.n:
@@ -154,6 +165,108 @@ class SymPoly:
 
     def __repr__(self) -> str:
         return f"SymPoly({self}, n={self.n})"
+
+
+def _orbit_weights(i: int, j: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every arrangement of the weight 2^i 1^j 0^(n-i-j)."""
+    for twos in combinations(range(n), i):
+        rest = [p for p in range(n) if p not in twos]
+        for ones in combinations(rest, j):
+            w = [0] * n
+            for p in twos:
+                w[p] = 2
+            for p in ones:
+                w[p] = 1
+            yield tuple(w)
+
+
+class OrbitCharacter:
+    """A symmetric polynomial in t1..tn with every exponent at most 2.
+
+    Its coefficient at a weight with i entries 2, j entries 1 and the rest 0
+    is ``table[(i, j)]``, wherever those entries sit.  Output (``items``,
+    ``to_json_entries``, ``str``) expands to weights and reads exactly as the
+    equal ``SymPoly``.
+    """
+
+    __slots__ = ("_table", "n")
+
+    def __init__(self, table: Mapping[tuple[int, int], int], n: int):
+        if n < 1:
+            raise ValueError("need n >= 1")
+        self.n = n
+        clean: dict[tuple[int, int], int] = {}
+        for (i, j), c in table.items():
+            if i < 0 or j < 0 or i + j > n:
+                raise ValueError(f"bad orbit {(i, j)} for n={n}")
+            if c:
+                clean[(i, j)] = c
+        self._table = clean
+
+    @classmethod
+    def zero(cls, n: int) -> "OrbitCharacter":
+        return cls({}, n)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._table
+
+    def coeff(self, exps: Sequence[int]) -> int:
+        exps = tuple(exps)
+        if len(exps) != self.n:
+            return 0
+        i, j = exps.count(2), exps.count(1)
+        if i + j + exps.count(0) != self.n:
+            return 0
+        return self._table.get((i, j), 0)
+
+    def to_sympoly(self) -> SymPoly:
+        coeffs = {
+            w: c for (i, j), c in self._table.items() for w in _orbit_weights(i, j, self.n)
+        }
+        return SymPoly(coeffs, self.n)
+
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
+        return self.to_sympoly().items()
+
+    def _binop(self, other, sign: int):
+        if isinstance(other, SymPoly):
+            return self.to_sympoly()._binop(other, sign)
+        if not isinstance(other, OrbitCharacter):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError(f"mixed variable counts: {self.n} != {other.n}")
+        out = dict(self._table)
+        for orbit, c in other._table.items():
+            out[orbit] = out.get(orbit, 0) + sign * c
+        return OrbitCharacter(out, self.n)
+
+    def __add__(self, other):
+        return self._binop(other, 1)
+
+    def __sub__(self, other):
+        return self._binop(other, -1)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SymPoly):
+            return self.to_sympoly() == other
+        if not isinstance(other, OrbitCharacter):
+            return NotImplemented
+        return self.n == other.n and self._table == other._table
+
+    def evaluate_at_ones(self) -> int:
+        """Sum of coefficients: each orbit counts C(n, i) * C(n - i, j) weights."""
+        n = self.n
+        return sum(c * comb(n, i) * comb(n - i, j) for (i, j), c in self._table.items())
+
+    def to_json_entries(self) -> list[dict]:
+        return self.to_sympoly().to_json_entries()
+
+    def __str__(self) -> str:
+        return str(self.to_sympoly())
+
+    def __repr__(self) -> str:
+        return f"OrbitCharacter({self._table}, n={self.n})"
 
 
 def is_symmetric(p: SymPoly) -> bool:
@@ -238,22 +351,40 @@ def classify_triple(a: int, b: int, d: int) -> str:
     return CASE_GENERAL
 
 
-def expected_character(a: int, b: int, d: int, n: int) -> SymPoly:
-    """Predicted character of the (d, d+1) ideal-power subquotient in bidegree (a, b)."""
+def _choose(j: int, k: int) -> int:
+    return comb(j, k) if 0 <= k <= j else 0
+
+
+def _truncated_schur_coeff(r1: int, r2: int, i: int, j: int) -> int:
+    """Coefficient of ``schur_squarefree(r1, r2, n)`` at a weight 2^i 1^j 0^...
+
+    The same for every n >= i + j.  In h_p * h_q a weight 2^i 1^j is reached
+    once per choice of the p - i entries 1 that go to h_p, when p + q = 2i + j.
+    """
+    if r1 + r2 != 2 * i + j:
+        return 0
+    return _choose(j, r1 - i) - _choose(j, r1 + 1 - i)
+
+
+def _formula_terms(a: int, b: int, d: int) -> list[tuple[int, int, int]]:
+    """The case formula as signed truncated Schur terms (sign, r1, r2)."""
     case = classify_triple(a, b, d)
     if case == CASE_ALL_EQUAL:
-        out = SymPoly.zero(n)
-        for j in range(1, a + 1):
-            term = schur_squarefree(a + j, a - j, n)
-            out = out + term if j % 2 == 1 else out - term
-        return out
+        return [(1 if j % 2 == 1 else -1, a + j, a - j) for j in range(1, a + 1)]
     if case == CASE_OFF_BY_ONE:
-        out = schur_squarefree(a, a, n)
-        for j in range(2, a + 1):
-            term = schur_squarefree(a + j, a - j, n)
-            out = out + term if j % 2 == 0 else out - term
-        return out
-    return schur_squarefree(a + b - d, d, n)
+        return [(1, a, a)] + [(1 if j % 2 == 0 else -1, a + j, a - j) for j in range(2, a + 1)]
+    return [(1, a + b - d, d)]
+
+
+def expected_character(a: int, b: int, d: int, n: int) -> OrbitCharacter:
+    """Predicted character of the (d, d+1) ideal-power subquotient in bidegree (a, b)."""
+    terms = _formula_terms(a, b, d)
+    table = {}
+    for i in range((a + b) // 2 + 1):
+        j = a + b - 2 * i
+        if i + j <= n:
+            table[(i, j)] = sum(s * _truncated_schur_coeff(r1, r2, i, j) for s, r1, r2 in terms)
+    return OrbitCharacter(table, n)
 
 
 def _shape_params(t: Tableau) -> tuple[int, int]:

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from frobtab import straightening
+from frobtab import cli, straightening
 from frobtab.cli import main
+from frobtab.symfunc import SymPoly, schur_squarefree
 
 
 def run(capsys, *argv):
@@ -72,6 +73,33 @@ def test_character_csv(capsys):
     assert out.splitlines() == ["t1,t2,coeff", "2,2,1"]
 
 
+def sympoly_output(p, fmt):
+    """What ``frobtab character`` printed when characters were ``SymPoly``s."""
+    if fmt == "json":
+        return json.dumps(p.to_json_entries()) + "\n"
+    lines = [",".join(f"t{i}" for i in range(1, p.n + 1)) + ",coeff"]
+    lines += [",".join(str(e) for e in exps) + f",{c}" for exps, c in p.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "triple, want",
+    [
+        ((2, 2, 2, 1), SymPoly.zero(1)),  # degree 4 does not fit on one letter
+        ((1, 0, 0, 1), schur_squarefree(1, 0, 1)),
+        ((3, 2, 1, 5), schur_squarefree(4, 1, 5)),
+    ],
+)
+def test_character_output_is_that_of_the_weight_expansion(capsys, triple, want, fmt):
+    a, b, d, n = (str(v) for v in triple)
+    code, out, _ = run(
+        capsys, "character", "--a", a, "--b", b, "--d", d, "--n", n, "--format", fmt
+    )
+    assert code == 0
+    assert out == sympoly_output(want, fmt)
+
+
 def test_verify_all_small_grid(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-a", "2", "--max-n", "2")
     assert code == 0
@@ -120,6 +148,22 @@ def test_straightening_limit_is_an_internal_error(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and "exceeded 0 steps" in err
     assert len(err.splitlines()) == 1
+
+
+def test_straightening_invariant_is_an_internal_error(capsys, monkeypatch):
+    def broken(t, idx, order="lifo"):
+        raise straightening.StraighteningInvariantError("no junction move applies")
+
+    monkeypatch.setattr(cli, "two_straighten", broken)
+    code, out, err = run(
+        capsys,
+        "straighten",
+        "--tableau", "1 2 / 3",
+        "--a", "2", "--b", "1", "--d", "1", "--n", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: no junction move applies\n"
 
 
 def test_usage_error_exit_code():

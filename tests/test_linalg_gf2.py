@@ -1,26 +1,14 @@
-"""GF(2) rank / span oracle."""
+"""GF(2) echelon basis and the monomial columns of a bidegree."""
 
-import pytest
-
-from frobtab.gf2_exterior import ExtElement, minor, monomial
-from frobtab.linalg_gf2 import (
-    EchelonBasis,
-    HomogeneityError,
-    element_vector,
-    gf2_rank,
-    in_span,
-    matrix_from_elements,
-    monomial_basis,
-    quotient_dim,
-    rank,
-)
+from frobtab.gf2_exterior import minor
+from frobtab.linalg_gf2 import EchelonBasis, element_vector, monomial_basis
 
 
 def test_rank_of_known_bit_matrices():
-    assert gf2_rank([]) == 0
-    assert gf2_rank([0b001, 0b010, 0b100]) == 3
-    assert gf2_rank([0b011, 0b101, 0b110]) == 2  # third row is the XOR of the others
-    assert gf2_rank([0b111, 0b111, 0]) == 1
+    assert EchelonBasis([]).rank == 0
+    assert EchelonBasis([0b001, 0b010, 0b100]).rank == 3
+    assert EchelonBasis([0b011, 0b101, 0b110]).rank == 2  # third row is the XOR of the others
+    assert EchelonBasis([0b111, 0b111, 0]).rank == 1
 
 
 def test_echelon_basis_membership_and_copy():
@@ -51,26 +39,3 @@ def test_element_vector_round_trip():
     e = minor(1, 2, n)
     v = element_vector(e, cols)
     assert v.bit_count() == 2
-
-
-def test_matrix_from_elements_checks_homogeneity():
-    n = 3
-    with pytest.raises(HomogeneityError):
-        matrix_from_elements([monomial([1], [], n)], (1, 1), n)
-
-
-def test_rank_and_quotient_dim_on_minor_span():
-    n = 3
-    minors = [minor(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    m = matrix_from_elements(minors, (1, 1), n)
-    assert rank(m) == 3
-    full = [monomial([i], [j], n) for i in range(1, n + 1) for j in range(1, n + 1)]
-    assert quotient_dim(full, minors, (1, 1), n) == 9 - 3
-
-
-def test_in_span():
-    n = 4
-    basis = [minor(1, 2, n), minor(3, 4, n)]
-    assert in_span(minor(1, 2, n) + minor(3, 4, n), basis, (1, 1), n)
-    assert not in_span(minor(1, 3, n), basis, (1, 1), n)
-    assert in_span(ExtElement.zero(n), basis, (1, 1), n)

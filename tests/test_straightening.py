@@ -1,6 +1,8 @@
 """Rewriting engines: classical straightening and the cap-2 work loop."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +15,9 @@ from frobtab.standard_monomials import (
     standard_monomial,
 )
 from frobtab.straightening import (
+    StraighteningInvariantError,
     TableauSum,
+    _square_junction,
     classical_straighten,
     collapse_interlocked,
     interlocked_triple,
@@ -217,3 +221,19 @@ def test_two_straighten_validates_input():
         two_straighten(Tableau((2, 1, 1), (3,), 3), idx)  # not semistandard
     with pytest.raises(ValueError):
         two_straighten(Tableau((1, 1, 2), (2,), 3), idx, order="random")
+
+
+def test_broken_junction_invariant_raises_a_typed_error():
+    with pytest.raises(StraighteningInvariantError):
+        _square_junction((1, 2), (3, 4), 2)
+    # a check written as ``assert`` would vanish under python -O
+    code = (
+        "from frobtab.straightening import StraighteningInvariantError, _square_junction\n"
+        "try:\n"
+        "    _square_junction((1, 2), (3, 4), 2)\n"
+        "except StraighteningInvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,18 @@
 """Symmetric polynomials, case formulas, and the promote/demote bijection."""
 
+from functools import lru_cache
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from frobtab.characters import subquotient_character
+from frobtab.standard_monomials import IndexTriple
 from frobtab.symfunc import (
     CASE_ALL_EQUAL,
     CASE_GENERAL,
     CASE_OFF_BY_ONE,
+    OrbitCharacter,
     SymPoly,
     alternating_sum_matches_distinct_rows,
     classify_triple,
@@ -118,6 +124,85 @@ def test_expected_character_is_symmetric():
             for b in range(0, a + 1):
                 for d in range(0, b + 1):
                     assert is_symmetric(expected_character(a, b, d, n))
+
+
+def jacobi_trudi_character(a, b, d, n):
+    """The case formula expanded as a ``SymPoly``, by multiplying out the
+    Jacobi-Trudi determinants of ``schur_squarefree``."""
+    case = classify_triple(a, b, d)
+    if case == CASE_ALL_EQUAL:
+        terms = [(1 if j % 2 == 1 else -1, a + j, a - j) for j in range(1, a + 1)]
+    elif case == CASE_OFF_BY_ONE:
+        terms = [(1, a, a)] + [(1 if j % 2 == 0 else -1, a + j, a - j) for j in range(2, a + 1)]
+    else:
+        terms = [(1, a + b - d, d)]
+    out = SymPoly.zero(n)
+    for sign, r1, r2 in terms:
+        term = _schur_squarefree(r1, r2, n)
+        out = out + term if sign == 1 else out - term
+    return out
+
+
+@lru_cache(maxsize=None)
+def _schur_squarefree(r1, r2, n):
+    return schur_squarefree(r1, r2, n)
+
+
+def test_orbit_tables_match_the_jacobi_trudi_expansion_at_every_weight():
+    checked = 0
+    for n in range(1, 9):
+        for a in range(0, 6):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    want = jacobi_trudi_character(a, b, d, n)
+                    closed = expected_character(a, b, d, n)
+                    assert closed.to_sympoly() == want, (a, b, d, n)
+                    assert all(closed.coeff(w) == c for w, c in want.items()), (a, b, d, n)
+                    assert closed.evaluate_at_ones() == want.evaluate_at_ones()
+                    computed = subquotient_character(IndexTriple(a, b, d, n))
+                    assert computed.to_sympoly() == want, (a, b, d, n)
+                    checked += 1
+    assert checked == 8 * 56
+
+
+def test_orbit_character_coeff_outside_its_weights_is_zero():
+    p = expected_character(2, 1, 1, 3)
+    assert p.coeff((2, 1, 0)) == 1
+    assert p.coeff((3, 0, 0)) == 0
+    assert p.coeff((2, 1, 0, 0)) == 0
+    assert p.coeff((2, 1)) == 0
+    assert p.coeff((2, -1, 2)) == 0
+    for w in product(range(4), repeat=3):
+        assert p.coeff(w) == p.to_sympoly().coeff(w), w
+
+
+def test_orbit_character_equals_sympoly_in_both_orders():
+    p = expected_character(2, 2, 1, 3)
+    q = p.to_sympoly()
+    assert p == q and q == p
+    assert not (p != q) and not (q != p)
+    bumped = q + SymPoly({(2, 2, 0): 1}, 3)
+    assert p != bumped and bumped != p
+    dropped = SymPoly({w: c for w, c in q.items() if w != (0, 2, 2)}, 3)
+    assert p != dropped and dropped != p
+    assert OrbitCharacter.zero(3) == SymPoly.zero(3) == OrbitCharacter.zero(3)
+    assert OrbitCharacter.zero(2) != SymPoly.zero(3)
+
+
+def test_orbit_character_arithmetic_and_output():
+    p = OrbitCharacter({(1, 0): 2, (0, 2): -1}, 2)
+    q = OrbitCharacter({(0, 2): 1}, 2)
+    assert p + q == OrbitCharacter({(1, 0): 2}, 2)
+    assert (p - p).is_zero
+    assert p.evaluate_at_ones() == p.to_sympoly().evaluate_at_ones() == 3
+    assert p.items() == p.to_sympoly().items()
+    assert p.to_json_entries() == p.to_sympoly().to_json_entries()
+    assert str(p) == str(p.to_sympoly()) == "2*t2^2 - t1*t2 + 2*t1^2"
+    assert str(OrbitCharacter.zero(2)) == "0"
+    with pytest.raises(ValueError):
+        OrbitCharacter({(2, 1): 1}, 2)
+    with pytest.raises(ValueError):
+        p + OrbitCharacter.zero(3)
 
 
 def test_promote_demote_are_inverse_weight_preserving_bijections():
