@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_str.add_argument("--b", type=int, required=True)
     p_str.add_argument("--d", type=int, required=True)
     p_str.add_argument("--n", type=int, required=True)
-    p_str.add_argument("--order", choices=("lifo", "fifo"), default="lifo")
 
     p_char = sub.add_parser("character", help="print a subquotient character")
     p_char.add_argument("--a", type=int, required=True)
@@ -86,7 +85,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_straighten(args) -> int:
     idx = IndexTriple(args.a, args.b, args.d, args.n)
     t = parse_tableau(args.tableau, args.n)
-    result = two_straighten(t, idx, order=args.order)
+    result = two_straighten(t, idx)
     diff = standard_monomial(t, idx.a) + result.element_sum()
     verified = in_ideal_power(diff, idx.d + 1)
     payload = {

@@ -22,7 +22,6 @@ __all__ = [
     "MismatchedGroundSetError",
     "Monomial",
     "ExtElement",
-    "mono_mul",
     "x_var",
     "y_var",
     "monomial",
@@ -113,14 +112,6 @@ class Monomial:
         return "".join(parts)
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> "ExtElement":
-    """Product of two monomials; zero when any variable would square."""
-    n = _same_n(m1.n, m2.n)
-    if m1.xmask & m2.xmask or m1.ymask & m2.ymask:
-        return ExtElement.zero(n)
-    return ExtElement(((m1.xmask | m2.xmask, m1.ymask | m2.ymask),), n)
-
-
 class ExtElement:
     """A GF(2) linear combination of squarefree monomials.
 
@@ -147,10 +138,6 @@ class ExtElement:
     @classmethod
     def one(cls, n: int) -> "ExtElement":
         return cls(((0, 0),), n)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial) -> "ExtElement":
-        return cls(((m.xmask, m.ymask),), m.n)
 
     @property
     def is_zero(self) -> bool:

@@ -11,10 +11,12 @@ the minor count, its output may mix strata (shapes (r1-k, d+k)).
 
 ``two_straighten`` rewrites a semistandard tableau, modulo the (d+1)-st power
 of the minor ideal, into the straight tableaux characterized by
-``rows_two_straight``.  It is a work loop: kill syntactic zeroes, drop terms
-that fall into the higher ideal power, recurse on the prefix when the prefix
-itself is not straight, and otherwise apply one of a small family of exact or
-congruence moves at the junction of the last columns.  Every move is either
+``rows_two_straight``.  It is one work loop over a last-in, first-out list:
+kill syntactic zeroes, drop terms that fall into the higher ideal power,
+recurse on the prefix when the prefix itself is not straight, and otherwise
+apply one of a small family of exact or congruence moves at the junction of
+the last columns.  Each step depends on its term alone and the loop has no
+options, so every input has exactly one output sum.  Every move is either
 an exact identity or changes the element by a member of the higher ideal
 power, so the output sum is congruent to the input; the certifying oracle
 lives in ``characters``.
@@ -22,11 +24,16 @@ lives in ``characters``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .gf2_exterior import ExtElement
-from .standard_monomials import DomainError, IndexTriple, rows_two_straight, standard_monomial
+from .standard_monomials import (
+    DomainError,
+    IndexTriple,
+    _multiplicity_ok,
+    rows_two_straight,
+    standard_monomial,
+)
 from .tableaux import Tableau, rows_are_ssyt
 
 __all__ = [
@@ -175,19 +182,14 @@ def _classical_terms(row1, row2, a) -> set[Triple]:
             continue
         # exchange when the last minor exceeds the first tail variable:
         # [u,w]*x_v = [v,u]*x_w + [v,w]*x_u for v < u < w (same in y)
-        if minors and xs and minors[-1][0] > xs[0]:
+        tail = xs + ys
+        if minors and tail and minors[-1][0] > tail[0]:
             u, w = minors[-1]
-            v = xs[0]
-            for m, x in (((v, u), w), ((v, w), u)):
-                cand = _normalize(minors[:-1] + (m,), (x,) + xs[1:], ys)
-                if cand is not None:
-                    work.append(cand)
-            continue
-        if minors and not xs and ys and minors[-1][0] > ys[0]:
-            u, w = minors[-1]
-            v = ys[0]
-            for m, y in (((v, u), w), ((v, w), u)):
-                cand = _normalize(minors[:-1] + (m,), xs, (y,) + ys[1:])
+            v = tail[0]
+            k = len(xs)
+            for m, z in (((v, u), w), ((v, w), u)):
+                new_tail = (z,) + tail[1:]
+                cand = _normalize(minors[:-1] + (m,), new_tail[:k], new_tail[k:])
                 if cand is not None:
                     work.append(cand)
             continue
@@ -310,44 +312,43 @@ _TS_CACHE: dict[tuple, frozenset[Rows]] = {}
 
 
 def _square_junction(A, B, a) -> list[Rows] | None:
-    """Junction moves for the square shape (a, a); None means no move applies."""
+    """Junction moves for the shapes (a, a) and (a, a-1); None means no move applies.
+
+    The (a, a-1) moves are the square ones without the last bottom box, so
+    ``last`` (that box, or nothing) is appended to every new bottom row.
+    """
     if a < 3:
-        raise StraighteningInvariantError("small square tableaux are always straight or zero")
+        raise StraighteningInvariantError("small tableaux of these shapes are straight or zero")
     pre1, pre2 = A[: a - 3], B[: a - 3]
+    last = B[a - 1 :]
+    # only the square shape has a last bottom box that can repeat
+    repeat = len(B) == a and B[a - 2] == B[a - 1]
     if A[a - 2] == A[a - 1]:
         # repeated last column top: one-term swap
         if not B[a - 3] > A[a - 1]:
             raise StraighteningInvariantError(f"repeated last column top in {A}/{B}")
-        new1 = pre1 + (A[a - 3], A[a - 1], B[a - 2])
-        new2 = pre2 + (A[a - 2], B[a - 3], B[a - 1])
-        return [(new1, new2)]
+        return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]) + last)]
     if B[a - 3] == B[a - 2]:
-        beta = B[a - 3]
-        if beta > A[a - 1]:
-            new1 = pre1 + (A[a - 3], A[a - 1], B[a - 2])
-            new2 = pre2 + (A[a - 2], B[a - 3], B[a - 1])
-        else:
-            new1 = pre1 + (A[a - 3], B[a - 3], B[a - 2])
-            new2 = pre2 + (A[a - 2], A[a - 1], B[a - 1])
-        return [(new1, new2)]
+        if B[a - 3] > A[a - 1]:
+            return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]) + last)]
+        return [(pre1 + (A[a - 3], B[a - 3], B[a - 2]), pre2 + (A[a - 2], A[a - 1]) + last)]
     if _has_chain(A, B, a):
-        if B[a - 2] == B[a - 1] and B[a - 3] == A[a - 1]:
+        if repeat and B[a - 3] == A[a - 1]:
             # the full minor chain telescopes to a square: exactly zero
             return []
         if not B[a - 3] > A[a - 1]:
             raise StraighteningInvariantError(f"minor chain out of order in {A}/{B}")
-        t1 = (pre1 + (A[a - 3], A[a - 2], B[a - 3]), pre2 + (A[a - 1], B[a - 2], B[a - 1]))
-        t2 = (pre1 + (A[a - 3], A[a - 2], B[a - 2]), pre2 + (A[a - 1], B[a - 3], B[a - 1]))
-        if B[a - 2] == B[a - 1]:
+        t1 = (pre1 + (A[a - 3], A[a - 2], B[a - 3]), pre2 + (A[a - 1], B[a - 2]) + last)
+        t2 = (pre1 + (A[a - 3], A[a - 2], B[a - 2]), pre2 + (A[a - 1], B[a - 3]) + last)
+        if repeat:
             return [t1]
         return [t1, t2]
-    if B[a - 2] == B[a - 1]:
+    if repeat:
         jp = [j0 for j0 in range(2, a) if B[j0 - 2] != A[j0]]
         if not jp:
-            # full chain with a repeated head: the cycle telescopes to zero
-            if A[0] != A[1]:
-                raise StraighteningInvariantError(f"full chain without a repeated head in {A}/{B}")
-            return []
+            # B[k] == A[k+2] for every k <= a-3: with A[0] == A[1] that is a
+            # chain from i0 = 0, which the branch above already handled
+            raise StraighteningInvariantError(f"full chain without a repeated head in {A}/{B}")
         j0 = max(jp)
         if not B[j0 - 2] > A[j0]:
             raise StraighteningInvariantError(f"chain break out of order in {A}/{B}")
@@ -371,34 +372,7 @@ def _has_chain(A, B, a) -> bool:
     return False
 
 
-def _column_junction(A, B, a) -> list[Rows] | None:
-    """Junction moves for the shape (a, a-1): the square moves without the
-    last bottom box."""
-    if a < 3:
-        raise StraighteningInvariantError(
-            "small tableaux of this shape are always straight or zero"
-        )
-    pre1, pre2 = A[: a - 3], B[: a - 3]
-    if A[a - 2] == A[a - 1]:
-        if not B[a - 3] > A[a - 1]:
-            raise StraighteningInvariantError(f"repeated last column top in {A}/{B}")
-        return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]))]
-    if B[a - 3] == B[a - 2]:
-        beta = B[a - 3]
-        if beta > A[a - 1]:
-            return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]))]
-        return [(pre1 + (A[a - 3], B[a - 3], B[a - 2]), pre2 + (A[a - 2], A[a - 1]))]
-    if _has_chain(A, B, a):
-        if not B[a - 3] > A[a - 1]:
-            raise StraighteningInvariantError(f"minor chain out of order in {A}/{B}")
-        return [
-            (pre1 + (A[a - 3], A[a - 2], B[a - 3]), pre2 + (A[a - 1], B[a - 2])),
-            (pre1 + (A[a - 3], A[a - 2], B[a - 2]), pre2 + (A[a - 1], B[a - 3])),
-        ]
-    return None
-
-
-def _short_tail_junction(A, B, a, b, d) -> list[Rows] | None:
+def _short_tail_junction(A, B, d) -> list[Rows] | None:
     """Junction for shapes with a two-box tail (a+b-d = d+2).
 
     Requires some repeated top pair whose minor chain reaches column d; the
@@ -406,12 +380,7 @@ def _short_tail_junction(A, B, a, b, d) -> list[Rows] | None:
     """
     if not (len(A) == d + 2 and d >= 1):
         raise StraighteningInvariantError(f"{A}/{B} has no two-box tail for d={d}")
-    chain = [
-        i0
-        for i0 in range(d)
-        if A[i0] == A[i0 + 1] and all(B[j0] == A[j0 + 2] for j0 in range(i0, d - 1))
-    ]
-    if not chain:
+    if not _has_chain(A, B, d + 2):
         return None
     if B[d - 1] == A[d + 1]:
         # chain closes up: zero for a two-box x tail, higher-power content
@@ -424,12 +393,12 @@ def _short_tail_junction(A, B, a, b, d) -> list[Rows] | None:
     return [(new1, new2)]
 
 
-def _ts(rows: Rows, a: int, b: int, d: int, order: str) -> frozenset[Rows]:
-    key = (rows, a, b, d, order)
+def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
+    key = (rows, a, b, d)
     cached = _TS_CACHE.get(key)
     if cached is not None:
         return cached
-    queue: deque[Rows] = deque([rows])
+    queue: list[Rows] = [rows]
     out: set[Rows] = set()
     iters = 0
     while queue:
@@ -438,7 +407,7 @@ def _ts(rows: Rows, a: int, b: int, d: int, order: str) -> frozenset[Rows]:
             raise StraighteningLimitExceeded(
                 f"straightening of {rows} for (a,b,d)=({a},{b},{d}) exceeded {ITERATION_CAP} steps"
             )
-        cur = queue.pop() if order == "lifo" else queue.popleft()
+        cur = queue.pop()
         A, B = cur
         if not rows_are_ssyt(A, B):
             # exact classical rewrite; terms in higher strata lie in the
@@ -460,33 +429,24 @@ def _ts(rows: Rows, a: int, b: int, d: int, order: str) -> frozenset[Rows]:
             else:
                 out.add(cur)
             continue
-        # prefix recursion
+        # prefix recursion: drop the last column (square) or the last top box
         if a == b == d:
-            prefix = (A[:-1], B[:-1])
             pidx = (a - 1, b - 1, d - 1)
-            unit = ("col", A[-1], B[-1])
         elif b > d:
-            prefix = (A[:-1], B)
             pidx = (a, b - 1, d)
-            unit = ("box", A[-1])
         else:
-            prefix = (A[:-1], B)
             pidx = (a - 1, b, d)
-            unit = ("box", A[-1])
-        if not rows_two_straight(prefix[0], prefix[1], *pidx):
-            for s1, s2 in _ts(prefix, *pidx, order):
-                if unit[0] == "col":
-                    queue.append((s1 + (unit[1],), s2 + (unit[2],)))
-                else:
-                    queue.append((s1 + (unit[1],), s2))
+        prefix = (A[:-1], B[: pidx[2]])
+        if not rows_two_straight(*prefix, *pidx):
+            box1, box2 = A[-1:], B[pidx[2] :]
+            for s1, s2 in _ts(prefix, *pidx):
+                queue.append((s1 + box1, s2 + box2))
             continue
         # junction moves
-        if a == b == d:
+        if b == d and a - d <= 1:
             moved = _square_junction(A, B, a)
-        elif a - 1 == b == d:
-            moved = _column_junction(A, B, a)
         else:
-            moved = _short_tail_junction(A, B, a, b, d)
+            moved = _short_tail_junction(A, B, d)
         if moved is None:
             raise StraighteningInvariantError(
                 f"no junction move applies to {A}/{B} for (a,b,d)=({a},{b},{d})"
@@ -498,38 +458,26 @@ def _ts(rows: Rows, a: int, b: int, d: int, order: str) -> frozenset[Rows]:
 
 
 def _is_zero_term(A, B, a, d) -> bool:
-    counts: dict[int, int] = {}
-    for v in A + B:
-        counts[v] = counts.get(v, 0) + 1
-        if counts[v] > 2:
-            return True
-    cols = [(A[i], B[i]) for i in range(d)]
-    if len(set(cols)) != d:
+    """A value three times, a repeated column, or a repeat inside the x or y tail."""
+    if not _multiplicity_ok(A, B, d):
         return True
-    xs = A[d:a]
-    ys = A[a:]
-    if any(xs[i] == xs[i + 1] for i in range(len(xs) - 1)):
-        return True
-    return any(ys[i] == ys[i + 1] for i in range(len(ys) - 1))
+    return any(u == v for tail in (A[d:a], A[a:]) for u, v in zip(tail, tail[1:]))
 
 
-def two_straighten(t: Tableau, idx: IndexTriple, order: str = "lifo") -> TableauSum:
+def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     """Rewrite a semistandard tableau as a straight sum modulo the higher ideal power.
 
     The result is a GF(2) set of straight tableaux of the same shape whose
     element sum is congruent to the input's standard monomial modulo the
-    (d+1)-st power of the minor ideal.  ``order`` selects the work-queue
-    discipline ("lifo" or "fifo"); different orders may return different
-    representative sums, congruent to each other.
+    (d+1)-st power of the minor ideal.  The rewriting has no options, so each
+    input has exactly one output sum.
     """
-    if order not in ("lifo", "fifo"):
-        raise ValueError(f"unknown order {order!r}")
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
     if t.shape != idx.shape:
         raise DomainError(f"tableau shape {t.shape}, expected {idx.shape}")
     if not rows_are_ssyt(t.row1, t.row2):
         raise DomainError(f"input must be semistandard: {t}")
-    rows_out = _ts((t.row1, t.row2), idx.a, idx.b, idx.d, order)
+    rows_out = _ts((t.row1, t.row2), idx.a, idx.b, idx.d)
     terms = frozenset(Tableau(r1, r2, t.n) for r1, r2 in rows_out)
     return TableauSum(terms, idx.a, t.n)

@@ -151,7 +151,7 @@ def test_straightening_limit_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_straightening_invariant_is_an_internal_error(capsys, monkeypatch):
-    def broken(t, idx, order="lifo"):
+    def broken(t, idx):
         raise straightening.StraighteningInvariantError("no junction move applies")
 
     monkeypatch.setattr(cli, "two_straighten", broken)

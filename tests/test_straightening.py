@@ -1,5 +1,6 @@
 """Rewriting engines: classical straightening and the cap-2 work loop."""
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -199,18 +200,18 @@ def test_two_straighten_outputs_are_straight_and_congruent():
                         assert in_ideal_power(diff, d + 1), (idx, t)
 
 
-def test_two_straighten_orders_agree_up_to_higher_power():
-    for n in range(1, 5):
-        for a in range(0, 4):
-            for b in range(0, a + 1):
-                for d in range(0, b + 1):
-                    idx = IndexTriple(a, b, d, n)
-                    for t in enumerate_tableaux(idx.shape, n, kind="ssyt"):
-                        lifo = two_straighten(t, idx, order="lifo")
-                        fifo = two_straighten(t, idx, order="fifo")
-                        if lifo.terms != fifo.terms:
-                            diff = lifo.element_sum() + fifo.element_sum()
-                            assert in_ideal_power(diff, d + 1), (idx, t)
+def test_two_straighten_output_is_pinned():
+    # The certification tests accept any straight, congruent sum; this digest
+    # pins the exact terms of every rewrite at n = 5, a <= 5 (42,878 tableaux).
+    n = 5
+    h = hashlib.sha256()
+    for a in range(0, 6):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                idx = IndexTriple(a, b, d, n)
+                for t in enumerate_tableaux(idx.shape, n, kind="ssyt"):
+                    h.update(f"{a} {b} {d} | {t} | {two_straighten(t, idx)}\n".encode())
+    assert h.hexdigest() == "64e88abf325f266e3a514ef255d8ddcb24b6d80c2e8fccf36a6a210fa053aec7"
 
 
 def test_two_straighten_validates_input():
@@ -219,8 +220,6 @@ def test_two_straighten_validates_input():
         two_straighten(Tableau((1, 2), (2,), 3), idx)  # wrong shape
     with pytest.raises(DomainError):
         two_straighten(Tableau((2, 1, 1), (3,), 3), idx)  # not semistandard
-    with pytest.raises(ValueError):
-        two_straighten(Tableau((1, 1, 2), (2,), 3), idx, order="random")
 
 
 def test_broken_junction_invariant_raises_a_typed_error():
@@ -237,3 +236,10 @@ def test_broken_junction_invariant_raises_a_typed_error():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_square_junction_full_chain_without_repeated_head_is_unreachable():
+    # B[k] == A[k+2] for every k, so no chain break exists; with A[0] == A[1]
+    # the minor-chain move would have applied first
+    with pytest.raises(StraighteningInvariantError):
+        _square_junction((1, 2, 3), (3, 4, 4), 3)
