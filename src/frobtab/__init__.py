@@ -23,7 +23,6 @@ from .gf2_exterior import (
     DegenerateMinorError,
     ExtElement,
     MismatchedGroundSetError,
-    Monomial,
     bidegree_of,
     minor,
     monomial,
@@ -91,7 +90,6 @@ __all__ = [
     "__version__",
     # ground ring
     "MAX_N",
-    "Monomial",
     "ExtElement",
     "DegenerateMinorError",
     "MismatchedGroundSetError",

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .gf2_exterior import ExtElement, minor, monomial
+from .gf2_exterior import ExtElement, _times_minor, minor, monomial
 from .linalg_gf2 import EchelonBasis
 from .standard_monomials import IndexTriple, basis_index_set, case_tag, two_standard_monomial
 from .symfunc import OrbitCharacter, SymPoly, expected_character, h_squarefree, schur
@@ -135,11 +135,7 @@ def _minor_products(
             bp, bq = 1 << p, 1 << q
             if not (bp & (r2 | r1) and bq & (r2 | r1)):
                 continue
-            prod: set[tuple[int, int]] = set()
-            for xm, ym in terms:
-                for bx, by in ((bp, bq), (bq, bp)):
-                    if not (xm & bx or ym & by):
-                        prod ^= {(xm | bx, ym | by)}
+            prod = _times_minor(terms, bp, bq)
             if prod:
                 s2, s1 = _take(bp, r2, r1)
                 yield from extend(k + 1, left - 1, prod, *_take(bq, s2, s1))

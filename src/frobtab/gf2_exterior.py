@@ -9,18 +9,20 @@ difference of term sets.
 
 Variables are indexed 1..n with n <= 32.  Bit i-1 of a mask records the
 presence of the variable with index i.
+
+``ExtElement`` validates its term masks, so code inside the package builds
+products on plain term sets (``_times_minor`` multiplies one by a minor) and
+wraps the finished set in an ``ExtElement`` once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 __all__ = [
     "MAX_N",
     "DegenerateMinorError",
     "MismatchedGroundSetError",
-    "Monomial",
     "ExtElement",
     "x_var",
     "y_var",
@@ -78,40 +80,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A squarefree monomial: one bitmask per variable block."""
-
-    xmask: int
-    ymask: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        full = (1 << self.n) - 1
-        if self.xmask & ~full or self.ymask & ~full:
-            raise ValueError(f"mask out of range for n={self.n}")
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.xmask.bit_count(), self.ymask.bit_count())
-
-    @property
-    def degree(self) -> int:
-        return self.xmask.bit_count() + self.ymask.bit_count()
-
-    def sort_key(self) -> tuple[int, int]:
-        """Canonical term order: compare (xmask, ymask) as integers, x most significant."""
-        return (self.xmask, self.ymask)
-
-    def __str__(self) -> str:
-        if self.xmask == 0 and self.ymask == 0:
-            return "1"
-        parts = [f"x{i}" for i in indices_of(self.xmask)]
-        parts += [f"y{i}" for i in indices_of(self.ymask)]
-        return "".join(parts)
-
-
 class ExtElement:
     """A GF(2) linear combination of squarefree monomials.
 
@@ -147,15 +115,8 @@ class ExtElement:
     def term_masks(self) -> frozenset[tuple[int, int]]:
         return self._terms
 
-    def terms(self) -> list[Monomial]:
-        """Terms as Monomials in the canonical order."""
-        return [Monomial(xm, ym, self.n) for xm, ym in sorted(self._terms)]
-
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.terms())
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         if not isinstance(other, ExtElement):
@@ -190,10 +151,30 @@ class ExtElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(str(Monomial(xm, ym, self.n)) for xm, ym in sorted(self._terms))
+        parts = []
+        for xm, ym in sorted(self._terms):
+            names = [f"x{i}" for i in indices_of(xm)] + [f"y{i}" for i in indices_of(ym)]
+            parts.append("".join(names) or "1")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"ExtElement({self}, n={self.n})"
+
+
+def _times_minor(
+    terms: Iterable[tuple[int, int]], bi: int, bj: int
+) -> set[tuple[int, int]]:
+    """A term set times the minor on the letter bits ``bi`` and ``bj``, mod 2.
+
+    With ``bi == bj`` each product appears twice and cancels, so a
+    degenerate minor gives the empty set.
+    """
+    out: set[tuple[int, int]] = set()
+    for xm, ym in terms:
+        for bx, by in ((bi, bj), (bj, bi)):
+            if not (xm & bx or ym & by):
+                out ^= {(xm | bx, ym | by)}
+    return out
 
 
 def x_var(i: int, n: int) -> ExtElement:

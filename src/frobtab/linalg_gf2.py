@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
-from .gf2_exterior import ExtElement
-
-__all__ = [
-    "EchelonBasis",
-    "monomial_basis",
-    "element_vector",
-]
+__all__ = ["EchelonBasis"]
 
 
 class EchelonBasis:
@@ -50,20 +43,3 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-
-def monomial_basis(degree: tuple[int, int], n: int) -> list[tuple[int, int]]:
-    """All squarefree (xmask, ymask) pairs of the given bidegree, canonical order."""
-    dx, dy = degree
-    if dx < 0 or dy < 0 or dx > n or dy > n:
-        return []
-    xmasks = sorted(sum(1 << b for b in bits) for bits in combinations(range(n), dx))
-    ymasks = sorted(sum(1 << b for b in bits) for bits in combinations(range(n), dy))
-    return [(xm, ym) for xm in xmasks for ym in ymasks]
-
-
-def element_vector(e: ExtElement, column_index: dict[tuple[int, int], int]) -> int:
-    v = 0
-    for t in e.term_masks:
-        v |= 1 << column_index[t]
-    return v

@@ -7,6 +7,9 @@ element
     times x-variables at row1 positions d+1..a
     times y-variables at row1 positions a+1..r1.
 
+It is built on (xmask, ymask) term sets: the two tail masks, times one
+column minor after another, validated as an ``ExtElement`` once at the end.
+
 For an index triple (a, b, d) the basis of the ideal-power subquotient in
 bidegree (a, b) is indexed by cap-2 semistandard tableaux through a
 case-split rectification map that turns them into classical semistandard
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2_exterior import ExtElement, minor, x_var, y_var
+from .gf2_exterior import ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_GENERAL, CASE_OFF_BY_ONE, classify_triple
 from .tableaux import Tableau, enumerate_tableaux, is_2ssyt, rows_are_ssyt
 
@@ -74,17 +77,14 @@ def standard_monomial(t: Tableau, a: int) -> ExtElement:
     r1, d = t.shape
     if not d <= a <= r1:
         raise DomainError(f"split point a={a} outside columns {d}..{r1} of shape {t.shape}")
-    out = ExtElement.one(t.n)
-    for i in range(d):
-        u, w = t.row1[i], t.row2[i]
-        if u == w:
-            return ExtElement.zero(t.n)
-        out = out * minor(u, w, t.n)
-    for i in range(d, a):
-        out = out * x_var(t.row1[i], t.n)
-    for i in range(a, r1):
-        out = out * y_var(t.row1[i], t.n)
-    return out
+    xm = sum({1 << (v - 1) for v in t.row1[d:a]})
+    ym = sum({1 << (v - 1) for v in t.row1[a:]})
+    if xm.bit_count() + ym.bit_count() < r1 - d:
+        return ExtElement.zero(t.n)  # a letter repeats in a tail
+    terms = {(xm, ym)}
+    for u, w in zip(t.row1, t.row2):
+        terms = _times_minor(terms, 1 << (u - 1), 1 << (w - 1))
+    return ExtElement(terms, t.n)
 
 
 def _identical_blocks(row1: list[int], row2: list[int]) -> list[tuple[int, int]]:

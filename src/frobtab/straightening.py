@@ -85,10 +85,10 @@ class TableauSum:
         return iter(sorted(self.terms, key=lambda t: (t.row1, t.row2)))
 
     def element_sum(self) -> ExtElement:
-        out = ExtElement.zero(self.n)
+        terms: set[tuple[int, int]] = set()
         for t in self.terms:
-            out = out + standard_monomial(t, self.a)
-        return out
+            terms ^= standard_monomial(t, self.a).term_masks
+        return ExtElement(terms, self.n)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -5,7 +5,9 @@ spanning set of each ideal power over a whole bidegree, reduced weight by
 weight and over the whole bidegree at once.
 """
 
+import math
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +26,30 @@ from frobtab.characters import (
     verify_triple,
 )
 from frobtab.gf2_exterior import ExtElement, minor, monomial, x_var, y_var
-from frobtab.linalg_gf2 import EchelonBasis, element_vector, monomial_basis
+from frobtab.linalg_gf2 import EchelonBasis
 from frobtab.standard_monomials import IndexTriple, basis_index_set, two_standard_monomial
 from frobtab.symfunc import SymPoly
 
 # (a, b, n) of the differential grid: a <= 6, n <= 6
 GRID = [(a, b, n) for n in range(1, 7) for a in range(0, 7) for b in range(0, a + 1)]
+
+
+def monomial_basis(degree, n):
+    """All squarefree (xmask, ymask) pairs of the given bidegree, canonical order."""
+    dx, dy = degree
+    if dx < 0 or dy < 0 or dx > n or dy > n:
+        return []
+    xmasks = sorted(sum(1 << b for b in bits) for bits in combinations(range(n), dx))
+    ymasks = sorted(sum(1 << b for b in bits) for bits in combinations(range(n), dy))
+    return [(xm, ym) for xm in xmasks for ym in ymasks]
+
+
+def element_vector(e, column_index):
+    """The element's terms as a row over the given monomial columns."""
+    v = 0
+    for t in e.term_masks:
+        v |= 1 << column_index[t]
+    return v
 
 
 def _columns(a, b, n):
@@ -77,6 +97,24 @@ def brute_ranks():
     }
     _ideal_span_cached.cache_clear()
     return ranks
+
+
+def test_monomial_basis_counts():
+    for n in range(1, 5):
+        for dx in range(0, n + 1):
+            for dy in range(0, n + 1):
+                got = len(monomial_basis((dx, dy), n))
+                assert got == math.comb(n, dx) * math.comb(n, dy)
+    assert monomial_basis((3, 0), 2) == []
+    assert monomial_basis((-1, 0), 2) == []
+
+
+def test_element_vector_round_trip():
+    n = 3
+    cols = {m: i for i, m in enumerate(monomial_basis((1, 1), n))}
+    e = minor(1, 2, n)
+    v = element_vector(e, cols)
+    assert v.bit_count() == 2
 
 
 def test_ideal_span_degree_zero_is_full_monomial_space():
@@ -205,6 +243,60 @@ def test_in_ideal_power_agrees_with_full_bidegree_echelon(case):
         v = element_vector(outsider, _columns(a, b, n))
         assert not brute_echelon(d, a, b, n).contains(v)
         assert not in_ideal_power(outsider, d)
+
+
+@st.composite
+def two_bidegree_sums(draw):
+    """(members of the d-th power plus loose monomials over two bidegrees, d).
+
+    The bidegrees are drawn in either order, so a < b occurs.
+    """
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(0, 3))
+    terms = set()
+    for _ in range(2):
+        a = draw(st.integers(0, min(n, 4)))
+        b = draw(st.integers(0, min(n, 4)))
+        span = ideal_power_span(d, (a, b), n)
+        for g in draw(st.lists(st.sampled_from(span), max_size=4)) if span else []:
+            terms ^= g.term_masks
+        loose = draw(st.lists(st.sampled_from(monomial_basis((a, b), n)), max_size=2))
+        terms ^= set(loose)
+    return ExtElement(terms, n), d
+
+
+def brute_in_ideal_power(e, d):
+    """Membership checked bidegree by bidegree against whole-bidegree echelons."""
+    pieces = {}
+    for xm, ym in e.term_masks:
+        pieces.setdefault((xm.bit_count(), ym.bit_count()), set()).add((xm, ym))
+    return all(
+        brute_echelon(d, a, b, e.n).contains(
+            element_vector(ExtElement(piece, e.n), _columns(a, b, e.n))
+        )
+        for (a, b), piece in pieces.items()
+    )
+
+
+def test_in_ideal_power_holds_for_every_spanning_product_in_either_order():
+    # 5 letters is the fewest on which the orbit blocks of (a, b) and (b, a)
+    # span different spaces (d = 2, (2, 3), five letters of weight 1), so a
+    # lookup that swaps a and b fails here.
+    n, checked = 5, 0
+    for a in range(0, 5):
+        for b in range(0, 5):
+            for d in range(1, min(a, b) + 1):
+                for g in ideal_power_span(d, (a, b), n):
+                    assert in_ideal_power(g, d), (a, b, d, g)
+                    checked += 1
+    assert checked == 9890
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_bidegree_sums())
+def test_in_ideal_power_agrees_with_echelon_on_sums_over_two_bidegrees(case):
+    e, d = case
+    assert in_ideal_power(e, d) == brute_in_ideal_power(e, d)
 
 
 def test_certificate_rejects_duplicated_and_dropped_basis_elements():

@@ -1,5 +1,6 @@
 """Command-line interface, run in-process."""
 
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,14 @@ def test_verify_all_small_grid(capsys):
         for b in range(0, a + 1)
         for d in range(0, b + 1)
     }
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    # SHA-256 of the whole report for a <= 6, n <= 6 (498 triples)
+    code, out, _ = run(capsys, "verify-all", "--max-a", "6", "--max-n", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "dba328736de22f25969475896bae729d237bcbd40bcf998b4f697b457b2c4c77"
 
 
 def test_verify_all_grid_file_and_out_file(tmp_path, capsys):

@@ -1,7 +1,6 @@
-"""GF(2) echelon basis and the monomial columns of a bidegree."""
+"""GF(2) echelon basis."""
 
-from frobtab.gf2_exterior import minor
-from frobtab.linalg_gf2 import EchelonBasis, element_vector, monomial_basis
+from frobtab.linalg_gf2 import EchelonBasis
 
 
 def test_rank_of_known_bit_matrices():
@@ -19,23 +18,3 @@ def test_echelon_basis_membership_and_copy():
     clone.add(0b100)
     assert clone.rank == 3
     assert eb.rank == 2  # copy does not alias the original
-
-
-def test_monomial_basis_counts():
-    import math
-
-    for n in range(1, 5):
-        for dx in range(0, n + 1):
-            for dy in range(0, n + 1):
-                got = len(monomial_basis((dx, dy), n))
-                assert got == math.comb(n, dx) * math.comb(n, dy)
-    assert monomial_basis((3, 0), 2) == []
-    assert monomial_basis((-1, 0), 2) == []
-
-
-def test_element_vector_round_trip():
-    n = 3
-    cols = {m: i for i, m in enumerate(monomial_basis((1, 1), n))}
-    e = minor(1, 2, n)
-    v = element_vector(e, cols)
-    assert v.bit_count() == 2

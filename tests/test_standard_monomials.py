@@ -1,8 +1,10 @@
 """Standard monomials, the rectification map, and straightness."""
 
+import itertools
+
 import pytest
 
-from frobtab.gf2_exterior import minor, monomial
+from frobtab.gf2_exterior import ExtElement, minor, monomial, x_var, y_var
 from frobtab.standard_monomials import (
     DomainError,
     IndexTriple,
@@ -31,6 +33,35 @@ def test_standard_monomial_factors():
 def test_standard_monomial_degenerate_column_is_zero():
     t = Tableau((2, 2), (2, 3), 3)  # first column repeats the value 2
     assert standard_monomial(t, 2).is_zero
+
+
+def product_chain(t, a):
+    """The standard monomial as a chain of ring products (reference)."""
+    out = ExtElement.one(t.n)
+    for u, w in zip(t.row1, t.row2):
+        if u == w:
+            return ExtElement.zero(t.n)
+        out = out * minor(u, w, t.n)
+    for v in t.row1[t.shape[1] : a]:
+        out = out * x_var(v, t.n)
+    for v in t.row1[a:]:
+        out = out * y_var(v, t.n)
+    return out
+
+
+def test_standard_monomial_matches_the_product_chain_on_every_filling():
+    # every filling over 4 letters, ordered or not, with d <= r1 <= 4 and
+    # r1 + d <= 6, at every split point: degenerate columns, repeated
+    # minors and repeated tail letters all occur
+    n, checked = 4, 0
+    for r1 in range(0, 5):
+        for d in range(0, min(r1, 6 - r1) + 1):
+            for cells in itertools.product(range(1, n + 1), repeat=r1 + d):
+                t = Tableau(cells[:r1], cells[r1:], n)
+                for a in range(d, r1 + 1):
+                    assert standard_monomial(t, a) == product_chain(t, a), (t, a)
+                    checked += 1
+    assert checked == 25_289
 
 
 def test_standard_monomial_split_point_validation():

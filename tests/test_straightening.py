@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobtab.characters import in_ideal_power
 from frobtab.gf2_exterior import minor, monomial
@@ -198,6 +200,40 @@ def test_two_straighten_outputs_are_straight_and_congruent():
                             assert is_two_straight(u, idx), (idx, t, u)
                         diff = standard_monomial(t, a) + out.element_sum()
                         assert in_ideal_power(diff, d + 1), (idx, t)
+
+
+@st.composite
+def wide_semistandard_cases(draw):
+    """A semistandard tableau over 8..32 letters with its index triple.
+
+    The letters come from a pool of at most a + b + 1 of them, so letters
+    repeat and the junction moves run.  The second row avoids the pool's
+    least letter, and each first-row cell above a second-row cell is drawn
+    smaller than that cell, so the columns increase strictly and a choice
+    always exists.
+    """
+    n = draw(st.integers(8, 32))
+    a = draw(st.integers(0, 6))
+    b = draw(st.integers(0, a))
+    d = draw(st.integers(0, b))
+    size = a + b + 1
+    pool = sorted(draw(st.sets(st.integers(1, n), min_size=min(2, size), max_size=size)))
+    row2 = sorted(draw(st.lists(st.sampled_from(pool[1:]), min_size=d, max_size=d))) if d else []
+    row1 = []
+    for i in range(a + b - d):
+        lo = row1[-1] if row1 else pool[0]
+        choices = [v for v in pool if lo <= v and (i >= d or v < row2[i])]
+        row1.append(draw(st.sampled_from(choices)))
+    return Tableau(tuple(row1), tuple(row2), n), IndexTriple(a, b, d, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_semistandard_cases())
+def test_two_straighten_is_straight_and_congruent_up_to_32_letters(case):
+    t, idx = case
+    out = two_straighten(t, idx)
+    assert all(is_two_straight(u, idx) for u in out)
+    assert in_ideal_power(standard_monomial(t, idx.a) + out.element_sum(), idx.d + 1)
 
 
 def test_two_straighten_output_is_pinned():
