@@ -20,6 +20,7 @@ import json
 import sys
 
 from .characters import in_ideal_power, subquotient_character, verify_triple
+from .gf2_exterior import MAX_N
 from .standard_monomials import DomainError, IndexTriple, standard_monomial
 from .straightening import (
     StraighteningInvariantError,
@@ -157,6 +158,8 @@ def _cmd_verify_all(args) -> int:
         config["max_a"] = args.max_a
     if args.max_n is not None:
         config["max_n"] = args.max_n
+    if config["max_n"] > MAX_N:
+        raise ValueError(f"max_n must be at most {MAX_N}, got {config['max_n']}")
 
     triples = [
         IndexTriple(a, b, d, n)

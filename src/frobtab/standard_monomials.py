@@ -19,6 +19,7 @@ tableaux by swapping maximal blocks of identical columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
 from .gf2_exterior import ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_GENERAL, CASE_OFF_BY_ONE, classify_triple
@@ -175,13 +176,11 @@ def basis_index_set(idx: IndexTriple) -> list[Tableau]:
 
 
 def _multiplicity_ok(A: tuple[int, ...], B: tuple[int, ...], d: int) -> bool:
-    counts: dict[int, int] = {}
-    for v in A + B:
-        counts[v] = counts.get(v, 0) + 1
-        if counts[v] > 2:
-            return False
-    cols = [(A[i], B[i]) for i in range(d)]
-    return len(set(cols)) == d
+    """No value three times and no repeated column among the first ``d``."""
+    s = sorted(A + B)
+    if any(map(eq, s, s[2:])):
+        return False
+    return len({(A[i], B[i]) for i in range(d)}) == d
 
 
 def is_two_straight(t: Tableau, idx: IndexTriple) -> bool:

@@ -1,13 +1,18 @@
 """Rewriting of tableau products into (cap-2) straight form.
 
-Two levels of rewriting live here.
+Two levels of rewriting live here, on one term form: a pair of rows
+``(row1, row2)`` read with the split point ``a`` as in ``standard_monomial``
+(column minors, then x-variables up to position ``a``, then y-variables).
+Both loops share one zero test, ``_is_zero_term``.
 
 ``classical_straighten`` works with exact identities in the squarefree
 quotient: the three-term minor exchange, the minor-against-variable exchange,
 and the split of a mixed x*y pair into its swap plus a minor.  It turns any
 column-strict two-row filling into a GF(2) sum of classical semistandard
 tableaux with exactly the same element value.  Because the pair split raises
-the minor count, its output may mix strata (shapes (r1-k, d+k)).
+the minor count, its output may mix strata (shapes (r1-k, d+k)).  No
+exchange moves ``a``: it is the x-degree, and a new column takes one letter
+from each tail.
 
 ``two_straighten`` rewrites a semistandard tableau, modulo the (d+1)-st power
 of the minor ideal, into the straight tableaux characterized by
@@ -100,56 +105,37 @@ class TableauSum:
 # classical straightening
 # ---------------------------------------------------------------------------
 
-Triple = tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _normalize(minors, xs, ys) -> Triple | None:
-    """Canonical form of a product term, or None when it is zero.
+def _is_zero_term(A, B, a, d) -> bool:
+    """A value three times, a repeated column, or a repeat inside the x or y tail."""
+    x, y = A[d:a], A[a:]
+    return len(set(x)) < len(x) or len(set(y)) < len(y) or not _multiplicity_ok(A, B, d)
 
-    Zero happens for a degenerate or repeated minor, a repeated tail
-    variable, or any index occurring three times in total (two of the three
-    occurrences then land in the same block and square to zero).
-    """
-    norm = []
-    for u, w in minors:
+
+def _normalize(A, B, a) -> Rows | None:
+    """Canonical rows of a product term (each column ordered, columns and both
+    tails sorted), or None for a degenerate column or a zero term."""
+    d = len(B)
+    cols = []
+    for u, w in zip(A, B):
         if u == w:
             return None
-        norm.append((u, w) if u < w else (w, u))
-    norm.sort()
-    if any(norm[i] == norm[i + 1] for i in range(len(norm) - 1)):
+        cols.append((u, w) if u < w else (w, u))
+    cols.sort()
+    tops, B = zip(*cols) if d else ((), ())
+    A = (*tops, *sorted(A[d:a]), *sorted(A[a:]))
+    if _is_zero_term(A, B, a, d):
         return None
-    xs = tuple(sorted(xs))
-    ys = tuple(sorted(ys))
-    if any(xs[i] == xs[i + 1] for i in range(len(xs) - 1)):
-        return None
-    if any(ys[i] == ys[i + 1] for i in range(len(ys) - 1)):
-        return None
-    counts: dict[int, int] = {}
-    for v in [v for m in norm for v in m] + list(xs) + list(ys):
-        counts[v] = counts.get(v, 0) + 1
-        if counts[v] > 2:
-            return None
-    return (tuple(norm), xs, ys)
+    return (A, B)
 
 
-def _triple_of_rows(row1, row2, a) -> Triple:
-    d = len(row2)
-    minors = tuple((row1[i], row2[i]) for i in range(d))
-    return (minors, tuple(row1[d:a]), tuple(row1[a:]))
-
-
-def _rows_of_triple(t: Triple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    minors, xs, ys = t
-    row1 = tuple(u for u, _ in minors) + xs + ys
-    row2 = tuple(w for _, w in minors)
-    return (row1, row2)
-
-
-def _classical_terms(row1, row2, a) -> set[Triple]:
+def _classical_terms(row1, row2, a) -> set[Rows]:
     """Straighten a column-strict filling; returns the GF(2) set of
-    semistandard normalized terms across all strata."""
-    start = _normalize(*_triple_of_rows(row1, row2, a))
-    out: set[Triple] = set()
+    semistandard normalized rows across all strata."""
+    start = _normalize(row1, row2, a)
+    out: set[Rows] = set()
     if start is None:
         return out
     work = [start]
@@ -160,55 +146,39 @@ def _classical_terms(row1, row2, a) -> set[Triple]:
             raise StraighteningLimitExceeded(
                 f"classical straightening of {row1}/{row2} exceeded {ITERATION_CAP} steps"
             )
-        minors, xs, ys = work.pop()
-        # exchange for an out-of-order adjacent minor pair: values p<q<r<s
-        # with minors (p,s),(q,r) present rewrite to (p,q)(r,s) + (p,r)(q,s)
-        viol = next(
-            (
-                i
-                for i in range(len(minors) - 1)
-                if minors[i][0] < minors[i + 1][0] and minors[i][1] > minors[i + 1][1]
-            ),
-            None,
-        )
-        if viol is not None:
-            i = viol
-            p, s = minors[i]
-            q, r = minors[i + 1]
-            for pair in (((p, q), (r, s)), ((p, r), (q, s))):
-                cand = _normalize(minors[:i] + pair + minors[i + 2 :], xs, ys)
-                if cand is not None:
-                    work.append(cand)
-            continue
-        # exchange when the last minor exceeds the first tail variable:
+        A, B = cur = work.pop()
+        d = len(B)
+        # exchange for an out-of-order adjacent column pair: values p<q<r<s
+        # with columns (p,s),(q,r) rewrite to (p,q)(r,s) + (p,r)(q,s)
+        i = next((i for i in range(d - 1) if A[i] < A[i + 1] and B[i] > B[i + 1]), None)
+        if i is not None:
+            p, q, r, s = A[i], A[i + 1], B[i + 1], B[i]
+            moved = [
+                (A[:i] + (p, r) + A[i + 2 :], B[:i] + (q, s) + B[i + 2 :]),
+                (A[:i] + (p, q) + A[i + 2 :], B[:i] + (r, s) + B[i + 2 :]),
+            ]
+        # exchange when the last column top exceeds the first tail variable:
         # [u,w]*x_v = [v,u]*x_w + [v,w]*x_u for v < u < w (same in y)
-        tail = xs + ys
-        if minors and tail and minors[-1][0] > tail[0]:
-            u, w = minors[-1]
-            v = tail[0]
-            k = len(xs)
-            for m, z in (((v, u), w), ((v, w), u)):
-                new_tail = (z,) + tail[1:]
-                cand = _normalize(minors[:-1] + (m,), new_tail[:k], new_tail[k:])
-                if cand is not None:
-                    work.append(cand)
-            continue
+        elif 0 < d < len(A) and A[d - 1] > A[d]:
+            u, w, v = A[d - 1], B[d - 1], A[d]
+            moved = [
+                (A[: d - 1] + (v, w) + A[d + 1 :], B[: d - 1] + (u,)),
+                (A[: d - 1] + (v, u) + A[d + 1 :], B[: d - 1] + (w,)),
+            ]
         # split a decreasing x,y junction: x_w*y_z = x_z*y_w + [z,w] for z < w
-        if xs and ys and xs[-1] > ys[0]:
-            w = xs[-1]
-            z = ys[0]
-            cand = _normalize(minors, xs[:-1] + (z,), (w,) + ys[1:])
-            if cand is not None:
-                work.append(cand)
-            cand = _normalize(minors + ((z, w),), xs[:-1], ys[1:])
-            if cand is not None:
-                work.append(cand)
-            continue
-        term = (minors, xs, ys)
-        if term in out:
-            out.remove(term)
+        elif d < a < len(A) and A[a - 1] > A[a]:
+            w, z = A[a - 1], A[a]
+            moved = [
+                (A[: a - 1] + (z, w) + A[a + 1 :], B),
+                (A[:d] + (z,) + A[d : a - 1] + A[a + 1 :], B + (w,)),
+            ]
         else:
-            out.add(term)
+            out ^= {cur}
+            continue
+        for A, B in moved:
+            cand = _normalize(A, B, a)
+            if cand is not None:
+                work.append(cand)
     return out
 
 
@@ -224,7 +194,7 @@ def classical_straighten(t: Tableau, a: int) -> TableauSum:
     if any(t.row1[i] >= t.row2[i] for i in range(d)):
         raise DomainError(f"columns must strictly increase: {t}")
     terms = _classical_terms(t.row1, t.row2, a)
-    tabs = frozenset(Tableau(*_rows_of_triple(tr), t.n) for tr in terms)
+    tabs = frozenset(Tableau(A, B, t.n) for A, B in terms)
     return TableauSum(tabs, a, t.n)
 
 
@@ -305,8 +275,6 @@ def interlocked_triple(t: Tableau) -> tuple[Tableau, Tableau]:
 # ---------------------------------------------------------------------------
 # cap-2 straightening
 # ---------------------------------------------------------------------------
-
-Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 _TS_CACHE: dict[tuple, frozenset[Rows]] = {}
 
@@ -412,9 +380,7 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
         if not rows_are_ssyt(A, B):
             # exact classical rewrite; terms in higher strata lie in the
             # higher ideal power and are dropped
-            for triple in _classical_terms(A, B, a):
-                if len(triple[0]) == d:
-                    queue.append(_rows_of_triple(triple))
+            queue.extend(r for r in _classical_terms(A, B, a) if len(r[1]) == d)
             continue
         if _is_zero_term(A, B, a, d):
             continue
@@ -424,10 +390,7 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
             # (1,1,0) whose lone monomial survives
             continue
         if rows_two_straight(A, B, a, b, d):
-            if cur in out:
-                out.remove(cur)
-            else:
-                out.add(cur)
+            out ^= {cur}
             continue
         # prefix recursion: drop the last column (square) or the last top box
         if a == b == d:
@@ -457,13 +420,6 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
     return result
 
 
-def _is_zero_term(A, B, a, d) -> bool:
-    """A value three times, a repeated column, or a repeat inside the x or y tail."""
-    if not _multiplicity_ok(A, B, d):
-        return True
-    return any(u == v for tail in (A[d:a], A[a:]) for u, v in zip(tail, tail[1:]))
-
-
 def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     """Rewrite a semistandard tableau as a straight sum modulo the higher ideal power.
 
@@ -471,6 +427,11 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     element sum is congruent to the input's standard monomial modulo the
     (d+1)-st power of the minor ideal.  The rewriting has no options, so each
     input has exactly one output sum.
+
+    Results are memoized in ``_TS_CACHE`` for the life of the process, and a
+    memo hit costs no steps.  So whether a call reaches ``ITERATION_CAP`` (and
+    raises ``StraighteningLimitExceeded``) depends on what was straightened
+    earlier in the process; the output sum does not.
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")

@@ -131,6 +131,8 @@ def enumerate_tableaux(shape: tuple[int, int], n: int, kind: str = "ssyt") -> li
     """
     if kind not in ("ssyt", "2ssyt"):
         raise ValueError(f"unknown tableau kind {kind!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     len1, len2 = shape
     if len2 > len1 or len2 < 0:
         raise ValueError(f"invalid two-row shape {shape}")

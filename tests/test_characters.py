@@ -28,7 +28,8 @@ from frobtab.characters import (
 from frobtab.gf2_exterior import ExtElement, minor, monomial, x_var, y_var
 from frobtab.linalg_gf2 import EchelonBasis
 from frobtab.standard_monomials import IndexTriple, basis_index_set, two_standard_monomial
-from frobtab.symfunc import SymPoly
+from frobtab.symfunc import OrbitCharacter, SymPoly, h_squarefree, schur
+from frobtab.tableaux import transpose_shape
 
 # (a, b, n) of the differential grid: a <= 6, n <= 6
 GRID = [(a, b, n) for n in range(1, 7) for a in range(0, 7) for b in range(0, a + 1)]
@@ -185,6 +186,41 @@ def test_pieri_small_grid():
         for a in range(1, 4):
             for b in range(0, a):
                 assert pieri_filtration_check(a, b, n), (a, b, n)
+
+
+def _telescoping_at_every_letter(a, b, n):
+    """``telescoping_check`` without its clamp to a + b letters."""
+    total = OrbitCharacter.zero(n)
+    for d in range(0, b + 1):
+        total = total + subquotient_character(IndexTriple(a, b, d, n))
+    return total == h_squarefree(a, n) * h_squarefree(b, n)
+
+
+def _pieri_at_every_letter(a, b, n):
+    """``pieri_filtration_check`` without its clamp to a + b letters."""
+    total = SymPoly.zero(n)
+    for i in range(0, b + 1):
+        total = total + schur(transpose_shape((a + i, b - i)), n)
+    return total == h_squarefree(a, n) * h_squarefree(b, n)
+
+
+def test_checks_on_a_plus_b_letters_agree_with_the_unclamped_checks():
+    for n in range(1, 9):
+        for a in range(0, 5):
+            for b in range(0, a + 1):
+                want = _telescoping_at_every_letter(a, b, n)
+                assert telescoping_check(a, b, n) == want, (a, b, n)
+                if a > b:
+                    want = _pieri_at_every_letter(a, b, n)
+                    assert pieri_filtration_check(a, b, n) == want, (a, b, n)
+
+
+def test_checks_hold_at_32_letters():
+    for a in range(0, 6):
+        for b in range(0, a + 1):
+            assert telescoping_check(a, b, 32), (a, b)
+            if a > b:
+                assert pieri_filtration_check(a, b, 32), (a, b)
 
 
 def test_pieri_requires_strict_inequality():

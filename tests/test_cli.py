@@ -31,6 +31,14 @@ def test_enumerate_classical_default(capsys):
     assert out.strip().splitlines() == ["1 / 2"]
 
 
+@pytest.mark.parametrize("shape", ["2,1", "0,0"])
+def test_enumerate_rejects_an_empty_alphabet(capsys, shape):
+    code, out, err = run(capsys, "enumerate", "--shape", shape, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need n >= 1, got 0\n"
+
+
 def test_straighten_reports_verified_result(capsys):
     code, out, _ = run(
         capsys,
@@ -142,6 +150,16 @@ def test_verify_all_rejects_unknown_grid_keys(tmp_path, capsys):
     code, _, err = run(capsys, "verify-all", "--grid", str(grid))
     assert code == 2
     assert "unknown grid keys" in err
+
+
+def test_verify_all_rejects_too_many_letters_before_any_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify_triple", calls.append)
+    code, out, err = run(capsys, "verify-all", "--max-a", "2", "--max-n", "33")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_n must be at most 32, got 33\n"
+    assert calls == []
 
 
 def test_straightening_limit_is_an_internal_error(capsys, monkeypatch):

@@ -50,6 +50,20 @@ def test_classical_straightening_is_exact_and_lands_on_ssyt():
                         assert u.shape[0] >= u.shape[1]
 
 
+def test_classical_straighten_output_is_pinned():
+    # The exactness test accepts any semistandard sum of the same value; this
+    # digest pins the exact terms at every split point of every column-strict
+    # filling over 4 letters with r1 <= 5, r1 + d <= 7 (30,507 pairs).
+    n = 4
+    h = hashlib.sha256()
+    for r1 in range(0, 6):
+        for d in range(0, min(r1, 7 - r1) + 1):
+            for t in all_column_strict_fillings(n, r1, d):
+                for a in range(d, r1 + 1):
+                    h.update(f"{t}|{a}|{classical_straighten(t, a)}\n".encode())
+    assert h.hexdigest() == "921d4e61a77b1277f5cf979bdc432924a8f22088945f7e3704a703db0e9b97a7"
+
+
 def test_classical_straightening_known_exchange():
     # [1,4][2,3] = [1,2][3,4] + [1,3][2,4]
     out = classical_straighten(Tableau((1, 2), (4, 3), 4), 2)

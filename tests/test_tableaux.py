@@ -89,6 +89,13 @@ def test_unknown_kind_rejected():
         enumerate_tableaux((2, 1), 3, kind="rowstrict")
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (0, 0)])
+@pytest.mark.parametrize("n", [0, -1])
+def test_empty_alphabet_rejected(shape, n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        enumerate_tableaux(shape, n)
+
+
 def test_weight_counts_occurrences():
     t = Tableau((1, 1, 3), (2, 3), 4)
     assert weight(t) == (2, 1, 2, 0)
