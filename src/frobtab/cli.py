@@ -160,6 +160,10 @@ def _cmd_verify_all(args) -> int:
         config["max_n"] = args.max_n
     if config["max_n"] > MAX_N:
         raise ValueError(f"max_n must be at most {MAX_N}, got {config['max_n']}")
+    # an empty grid would print nothing and exit 0, which reads as a pass
+    for key in ("max_a", "max_n"):
+        if config[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {config[key]}")
 
     triples = [
         IndexTriple(a, b, d, n)

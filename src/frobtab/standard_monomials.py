@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import eq
 
-from .gf2_exterior import ExtElement, _times_minor
+from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_GENERAL, CASE_OFF_BY_ONE, classify_triple
 from .tableaux import Tableau, enumerate_tableaux, is_2ssyt, rows_are_ssyt
 
@@ -54,8 +54,8 @@ class IndexTriple:
     def __post_init__(self) -> None:
         if not self.a >= self.b >= self.d >= 0:
             raise DomainError(f"need a >= b >= d >= 0, got {(self.a, self.b, self.d)}")
-        if not 1 <= self.n:
-            raise DomainError("need n >= 1")
+        if not 1 <= self.n <= MAX_N:
+            raise DomainError(f"need 1 <= n <= {MAX_N}, got {self.n}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -24,7 +24,8 @@ the last columns.  Each step depends on its term alone and the loop has no
 options, so every input has exactly one output sum.  Every move is either
 an exact identity or changes the element by a member of the higher ideal
 power, so the output sum is congruent to the input; the certifying oracle
-lives in ``characters``.
+lives in ``characters``.  Every rule only compares entries, so the loop's
+memo is keyed on rows relabelled onto the letters 1..m.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class StraighteningInvariantError(RuntimeError):
     """A junction move met a tableau its case analysis rules out (a bug)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableauSum:
     """A GF(2) set of tableaux read as elements via the split point ``a``.
 
@@ -131,13 +132,13 @@ def _normalize(A, B, a) -> Rows | None:
     return (A, B)
 
 
-def _classical_terms(row1, row2, a) -> set[Rows]:
+def _classical_terms(row1, row2, a) -> tuple[set[Rows], int]:
     """Straighten a column-strict filling; returns the GF(2) set of
-    semistandard normalized rows across all strata."""
+    semistandard normalized rows across all strata, and the step count."""
     start = _normalize(row1, row2, a)
     out: set[Rows] = set()
     if start is None:
-        return out
+        return out, 0
     work = [start]
     iters = 0
     while work:
@@ -179,7 +180,7 @@ def _classical_terms(row1, row2, a) -> set[Rows]:
             cand = _normalize(A, B, a)
             if cand is not None:
                 work.append(cand)
-    return out
+    return out, iters
 
 
 def classical_straighten(t: Tableau, a: int) -> TableauSum:
@@ -193,7 +194,7 @@ def classical_straighten(t: Tableau, a: int) -> TableauSum:
         raise DomainError(f"split point a={a} outside columns {d}..{r1} of shape {t.shape}")
     if any(t.row1[i] >= t.row2[i] for i in range(d)):
         raise DomainError(f"columns must strictly increase: {t}")
-    terms = _classical_terms(t.row1, t.row2, a)
+    terms, _ = _classical_terms(t.row1, t.row2, a)
     tabs = frozenset(Tableau(A, B, t.n) for A, B in terms)
     return TableauSum(tabs, a, t.n)
 
@@ -276,7 +277,8 @@ def interlocked_triple(t: Tableau) -> tuple[Tableau, Tableau]:
 # cap-2 straightening
 # ---------------------------------------------------------------------------
 
-_TS_CACHE: dict[tuple, frozenset[Rows]] = {}
+# (relabelled rows, a, b, d) -> (straight rows, step count); see ``_ts``
+_TS_CACHE: dict[tuple, tuple[frozenset[Rows], int]] = {}
 
 
 def _square_junction(A, B, a) -> list[Rows] | None:
@@ -361,14 +363,45 @@ def _short_tail_junction(A, B, d) -> list[Rows] | None:
     return [(new1, new2)]
 
 
-def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
-    key = (rows, a, b, d)
-    cached = _TS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    queue: list[Rows] = [rows]
+def _ts(rows: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
+    """Straight rows for ``rows`` and the step count of the call.
+
+    The memo is keyed on the rows relabelled onto the letters 1..m in their
+    order (m distinct letters): every rule here only compares entries, so the
+    result for other letters is the relabelled result mapped back.  The step
+    count is the most loop iterations of this call or of any classical or
+    prefix sub-call; a memo hit is charged it, so whether ``ITERATION_CAP`` is
+    reached depends on the input and the cap only.
+    """
+    A, B = rows
+    letters = sorted({*A, *B})
+    m = len(letters)
+    if m and letters[-1] != m:
+        code = dict(zip(letters, range(1, m + 1)))
+        key_rows = (tuple(map(code.__getitem__, A)), tuple(map(code.__getitem__, B)))
+    else:
+        letters = None
+        key_rows = rows
+    key = (key_rows, a, b, d)
+    hit = _TS_CACHE.get(key)
+    if hit is None:
+        hit = _TS_CACHE[key] = _ts_loop(rows, key_rows, a, b, d)
+    result, steps = hit
+    if steps > ITERATION_CAP:
+        raise StraighteningLimitExceeded(
+            f"straightening of {rows} for (a,b,d)=({a},{b},{d}) exceeded {ITERATION_CAP} steps"
+        )
+    if letters is None or not result:
+        return hit
+    back = (0, *letters).__getitem__
+    return frozenset((tuple(map(back, r1)), tuple(map(back, r2))) for r1, r2 in result), steps
+
+
+def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
+    """The work loop of ``_ts`` from ``start``; ``rows`` names the input in errors."""
+    queue: list[Rows] = [start]
     out: set[Rows] = set()
-    iters = 0
+    iters = steps = 0
     while queue:
         iters += 1
         if iters > ITERATION_CAP:
@@ -380,7 +413,9 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
         if not rows_are_ssyt(A, B):
             # exact classical rewrite; terms in higher strata lie in the
             # higher ideal power and are dropped
-            queue.extend(r for r in _classical_terms(A, B, a) if len(r[1]) == d)
+            terms, sub_steps = _classical_terms(A, B, a)
+            steps = max(steps, sub_steps)
+            queue.extend(r for r in terms if len(r[1]) == d)
             continue
         if _is_zero_term(A, B, a, d):
             continue
@@ -402,7 +437,9 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
         prefix = (A[:-1], B[: pidx[2]])
         if not rows_two_straight(*prefix, *pidx):
             box1, box2 = A[-1:], B[pidx[2] :]
-            for s1, s2 in _ts(prefix, *pidx):
+            sub, sub_steps = _ts(prefix, *pidx)
+            steps = max(steps, sub_steps)
+            for s1, s2 in sub:
                 queue.append((s1 + box1, s2 + box2))
             continue
         # junction moves
@@ -415,9 +452,7 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
                 f"no junction move applies to {A}/{B} for (a,b,d)=({a},{b},{d})"
             )
         queue.extend(moved)
-    result = frozenset(out)
-    _TS_CACHE[key] = result
-    return result
+    return frozenset(out), max(iters, steps)
 
 
 def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
@@ -428,10 +463,13 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     (d+1)-st power of the minor ideal.  The rewriting has no options, so each
     input has exactly one output sum.
 
-    Results are memoized in ``_TS_CACHE`` for the life of the process, and a
-    memo hit costs no steps.  So whether a call reaches ``ITERATION_CAP`` (and
-    raises ``StraighteningLimitExceeded``) depends on what was straightened
-    earlier in the process; the output sum does not.
+    Results are memoized in ``_TS_CACHE`` for the life of the process, keyed
+    on the rows relabelled onto the letters 1..m in their order, so the memo
+    holds one entry per letter pattern, on at most a + b letters whatever n
+    is.  Each entry keeps the step count of the work that made it and a hit is
+    charged that count, so whether a call reaches ``ITERATION_CAP`` (and
+    raises ``StraighteningLimitExceeded``) depends only on its input and the
+    cap, not on what was straightened earlier in the process.
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
@@ -439,6 +477,6 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
         raise DomainError(f"tableau shape {t.shape}, expected {idx.shape}")
     if not rows_are_ssyt(t.row1, t.row2):
         raise DomainError(f"input must be semistandard: {t}")
-    rows_out = _ts((t.row1, t.row2), idx.a, idx.b, idx.d)
+    rows_out, _ = _ts((t.row1, t.row2), idx.a, idx.b, idx.d)
     terms = frozenset(Tableau(r1, r2, t.n) for r1, r2 in rows_out)
     return TableauSum(terms, idx.a, t.n)

@@ -20,6 +20,7 @@ classical Schur polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le, lt
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tableau:
     """A two-row filling; ``row2`` may be shorter than ``row1``."""
 
@@ -68,11 +69,11 @@ class Tableau:
 
 def rows_are_ssyt(row1: Sequence[int], row2: Sequence[int]) -> bool:
     """Classical semistandard check on raw rows."""
-    if any(row1[i] > row1[i + 1] for i in range(len(row1) - 1)):
-        return False
-    if any(row2[i] > row2[i + 1] for i in range(len(row2) - 1)):
-        return False
-    return all(row1[i] < row2[i] for i in range(len(row2)))
+    return (
+        all(map(le, row1, row1[1:]))
+        and all(map(le, row2, row2[1:]))
+        and all(map(lt, row1, row2))
+    )
 
 
 def is_ssyt(t: Tableau) -> bool:

@@ -162,6 +162,24 @@ def test_verify_all_rejects_too_many_letters_before_any_work(capsys, monkeypatch
     assert calls == []
 
 
+@pytest.mark.parametrize("flag, value", [("--max-n", "0"), ("--max-a", "-1"), ("--max-a", "0")])
+def test_verify_all_rejects_an_empty_grid_before_any_work(capsys, monkeypatch, flag, value):
+    calls = []
+    monkeypatch.setattr(cli, "verify_triple", calls.append)
+    code, out, err = run(capsys, "verify-all", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}\n"
+    assert calls == []
+
+
+def test_character_rejects_too_many_letters(capsys):
+    code, out, err = run(capsys, "character", "--a", "1", "--b", "1", "--d", "0", "--n", "33")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need 1 <= n <= 32, got 33\n"
+
+
 def test_straightening_limit_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
     monkeypatch.setattr(straightening, "_TS_CACHE", {})

@@ -1,14 +1,18 @@
 """Rewriting engines: classical straightening and the cap-2 work loop."""
 
+import ast
 import hashlib
 import itertools
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobtab import straightening
 from frobtab.characters import in_ideal_power
 from frobtab.gf2_exterior import minor, monomial
 from frobtab.standard_monomials import (
@@ -19,6 +23,7 @@ from frobtab.standard_monomials import (
 )
 from frobtab.straightening import (
     StraighteningInvariantError,
+    StraighteningLimitExceeded,
     TableauSum,
     _square_junction,
     classical_straighten,
@@ -264,6 +269,87 @@ def test_two_straighten_output_is_pinned():
     assert h.hexdigest() == "64e88abf325f266e3a514ef255d8ddcb24b6d80c2e8fccf36a6a210fa053aec7"
 
 
+def semistandard_cases(max_a, n):
+    for a in range(0, max_a + 1):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                idx = IndexTriple(a, b, d, n)
+                for t in enumerate_tableaux(idx.shape, n, kind="ssyt"):
+                    yield t, idx
+
+
+def test_two_straighten_commutes_with_spreading_the_letters(monkeypatch):
+    # The memo is keyed on rows relabelled onto 1..m.  Moving a tableau onto
+    # spread-out letters by an order-preserving map must move its output the
+    # same way, and must match the loop run on the raw letters with no memo.
+    monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    rng = random.Random(7)
+    cases = []
+    for n in range(1, 7):
+        spread = (0, *sorted(rng.sample(range(1, 33), n)))
+
+        def move(row):
+            return tuple(map(spread.__getitem__, row))
+
+        for t, idx in semistandard_cases(4, n):
+            want = {(move(u.row1), move(u.row2)) for u in two_straighten(t, idx).terms}
+            wide = Tableau(move(t.row1), move(t.row2), 32)
+            wide_idx = IndexTriple(idx.a, idx.b, idx.d, 32)
+            got = {(u.row1, u.row2) for u in two_straighten(wide, wide_idx).terms}
+            assert got == want, (idx, t)
+            cases.append((wide.row1, wide.row2, idx, got))
+    assert len(cases) == 47195
+
+    def raw_ts(rows, a, b, d):
+        return straightening._ts_loop(rows, rows, a, b, d)
+
+    monkeypatch.setattr(straightening, "_ts", raw_ts)
+    for row1, row2, idx, got in cases:
+        assert set(raw_ts((row1, row2), idx.a, idx.b, idx.d)[0]) == got, (idx, row1, row2)
+
+
+def test_straightening_memo_does_not_grow_with_the_alphabet(monkeypatch):
+    # keys live on at most a + b letters, so every pattern for a <= 3 already
+    # occurs at n = 6
+    monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    for t, idx in semistandard_cases(3, 6):
+        two_straighten(t, idx)
+    size = len(straightening._TS_CACHE)
+    for t, idx in semistandard_cases(3, 9):
+        two_straighten(t, idx)
+    assert len(straightening._TS_CACHE) == size
+
+
+def test_iteration_cap_does_not_depend_on_earlier_calls(monkeypatch):
+    monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    t = Tableau((1, 2, 2, 4, 5), (3, 3, 6, 7, 7), 7)
+    idx = IndexTriple(5, 5, 5, 7)
+    assert len(two_straighten(t, idx)) == 2
+    # the memo now holds this call; a hit must still be charged its steps
+    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
+    with pytest.raises(StraighteningLimitExceeded, match="exceeded 0 steps"):
+        two_straighten(t, idx)
+    wide = Tableau(tuple(3 * v for v in t.row1), tuple(3 * v for v in t.row2), 21)
+    with pytest.raises(StraighteningLimitExceeded, match="exceeded 0 steps"):
+        two_straighten(wide, IndexTriple(5, 5, 5, 21))
+
+
+def test_a_call_raises_exactly_when_the_cap_is_below_its_steps(monkeypatch):
+    # the step count covers the sub-calls, and a memo hit is charged it
+    cap = straightening.ITERATION_CAP
+    for t, idx in semistandard_cases(4, 5):
+        monkeypatch.setattr(straightening, "_TS_CACHE", {})
+        steps = straightening._ts((t.row1, t.row2), idx.a, idx.b, idx.d)[1]
+        for memo in ({}, straightening._TS_CACHE):
+            monkeypatch.setattr(straightening, "_TS_CACHE", memo)
+            monkeypatch.setattr(straightening, "ITERATION_CAP", steps - 1)
+            with pytest.raises(StraighteningLimitExceeded):
+                two_straighten(t, idx)
+            monkeypatch.setattr(straightening, "ITERATION_CAP", steps)
+            two_straighten(t, idx)
+        monkeypatch.setattr(straightening, "ITERATION_CAP", cap)
+
+
 def test_two_straighten_validates_input():
     idx = IndexTriple(2, 2, 1, 3)
     with pytest.raises(DomainError):
@@ -286,6 +372,18 @@ def test_broken_junction_invariant_raises_a_typed_error():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_has_no_assert_statements():
+    # invariants raise typed errors; python -O strips assert statements
+    src = Path(straightening.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_square_junction_full_chain_without_repeated_head_is_unreachable():

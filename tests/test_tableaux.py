@@ -1,5 +1,7 @@
 """Two-row tableaux, the cap-2 condition, enumeration, and text form."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from frobtab.tableaux import (
     is_ssyt,
     is_ssyt_rows,
     parse_tableau,
+    rows_are_ssyt,
     transpose_shape,
     transpose_tableau,
     weight,
@@ -32,6 +35,21 @@ def test_classical_ssyt_predicate():
     assert is_ssyt(Tableau((1, 1, 2), (2, 3), 4))
     assert not is_ssyt(Tableau((1, 1, 2), (1, 3), 4))  # column not strict
     assert not is_ssyt(Tableau((1, 2, 1), (2, 3), 4))  # row decreases
+
+
+def test_rows_are_ssyt_agrees_with_the_index_scan():
+    def index_scan(row1, row2):
+        if any(row1[i] > row1[i + 1] for i in range(len(row1) - 1)):
+            return False
+        if any(row2[i] > row2[i + 1] for i in range(len(row2) - 1)):
+            return False
+        return all(row1[i] < row2[i] for i in range(len(row2)))
+
+    for len1 in range(5):
+        for len2 in range(len1 + 1):
+            for row1 in itertools.product(range(1, 4), repeat=len1):
+                for row2 in itertools.product(range(1, 4), repeat=len2):
+                    assert rows_are_ssyt(row1, row2) == index_scan(row1, row2), (row1, row2)
 
 
 def test_cap2_allows_equal_columns_but_not_row_repeats():
