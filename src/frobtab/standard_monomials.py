@@ -19,10 +19,11 @@ tableaux by swapping maximal blocks of identical columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import eq
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
-from .symfunc import CASE_ALL_EQUAL, CASE_GENERAL, CASE_OFF_BY_ONE, classify_triple
+from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
 from .tableaux import Tableau, enumerate_tableaux, is_2ssyt, rows_are_ssyt
 
 __all__ = [
@@ -165,14 +166,10 @@ def basis_index_set(idx: IndexTriple) -> list[Tableau]:
             if t.row1 != t.row2
         ]
     if case == CASE_OFF_BY_ONE:
-        out = list(enumerate_tableaux((idx.a + 1, idx.a - 1), idx.n, "2ssyt"))
-        out += [
-            t
-            for t in enumerate_tableaux((idx.a, idx.a), idx.n, "2ssyt")
-            if t.row1 == t.row2
-        ]
+        out = enumerate_tableaux((idx.a + 1, idx.a - 1), idx.n, "2ssyt")
+        out += [Tableau(r, r, idx.n) for r in combinations(range(1, idx.n + 1), idx.a)]
         return out
-    return list(enumerate_tableaux(idx.shape, idx.n, "2ssyt"))
+    return enumerate_tableaux(idx.shape, idx.n, "2ssyt")
 
 
 def _multiplicity_ok(A: tuple[int, ...], B: tuple[int, ...], d: int) -> bool:

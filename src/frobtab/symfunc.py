@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .tableaux import (
     Tableau,
@@ -403,29 +403,25 @@ def _max_disagreement(row1: Sequence[int], row2: Sequence[int], offset: int):
     return None
 
 
-def promotable_tableaux(a: int, i: int, n: int) -> list[Tableau]:
-    """Cap-2 tableaux of shape (a+i, a-i) whose last disagreement overhangs.
+def _promotable(t: Tableau, i: int) -> bool:
+    """The last disagreement of ``t`` (shape (a+i, a-i)) overhangs.
 
     Disagreement compares row2[k] with row1[k+2i]; the tableau is promotable
     when some k disagrees and the largest such k has row2[k] > row1[k+2i].
     At i = 0 this is exactly the distinct-row condition.
     """
-    out = []
-    for t in enumerate_tableaux((a + i, a - i), n, "2ssyt"):
-        k = _max_disagreement(t.row1, t.row2, 2 * i)
-        if k is not None and t.row2[k - 1] > t.row1[k + 2 * i - 1]:
-            out.append(t)
-    return out
+    k = _max_disagreement(t.row1, t.row2, 2 * i)
+    return k is not None and t.row2[k - 1] > t.row1[k + 2 * i - 1]
+
+
+def promotable_tableaux(a: int, i: int, n: int) -> list[Tableau]:
+    """Cap-2 tableaux of shape (a+i, a-i) whose last disagreement overhangs."""
+    return [t for t in enumerate_tableaux((a + i, a - i), n, "2ssyt") if _promotable(t, i)]
 
 
 def unpromotable_tableaux(a: int, i: int, n: int) -> list[Tableau]:
     """Complement of the promotable set inside the cap-2 tableaux of (a+i, a-i)."""
-    out = []
-    for t in enumerate_tableaux((a + i, a - i), n, "2ssyt"):
-        k = _max_disagreement(t.row1, t.row2, 2 * i)
-        if k is None or t.row2[k - 1] < t.row1[k + 2 * i - 1]:
-            out.append(t)
-    return out
+    return [t for t in enumerate_tableaux((a + i, a - i), n, "2ssyt") if not _promotable(t, i)]
 
 
 def _reslice(row1: Sequence[int], row2: Sequence[int], j: int, twoi: int, n: int) -> Tableau:
@@ -439,9 +435,9 @@ def promote(t: Tableau) -> Tableau:
     a, i = _shape_params(t)
     if not is_2ssyt(t):
         raise ValueError(f"not a cap-2 semistandard tableau: {t}")
-    k = _max_disagreement(t.row1, t.row2, 2 * i)
-    if k is None or t.row2[k - 1] < t.row1[k + 2 * i - 1]:
+    if not _promotable(t, i):
         raise ValueError(f"tableau is not promotable: {t}")
+    k = _max_disagreement(t.row1, t.row2, 2 * i)
     return _reslice(t.row1, t.row2, k, 2 * i, t.n)
 
 
@@ -452,9 +448,9 @@ def demote(t: Tableau) -> Tableau:
         raise ValueError("cannot demote a square shape")
     if not is_2ssyt(t):
         raise ValueError(f"not a cap-2 semistandard tableau: {t}")
-    k = _max_disagreement(t.row1, t.row2, 2 * i)
-    if k is not None and t.row2[k - 1] > t.row1[k + 2 * i - 1]:
+    if _promotable(t, i):
         raise ValueError(f"tableau is not demotable: {t}")
+    k = _max_disagreement(t.row1, t.row2, 2 * i)
     j = 1 if k is None else k + 1
     return _reslice(t.row1, t.row2, j, 2 * i - 2, t.n)
 

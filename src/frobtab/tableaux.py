@@ -6,8 +6,8 @@ Two predicates matter:
 
 * ``is_ssyt`` — the classical condition: rows weakly increase, columns
   strictly increase.
-* ``is_2ssyt`` — the cap-2 variant: rows and columns weakly increase and
-  no entry repeats in a row, so a column may hold two equal entries.  It is
+* ``is_2ssyt`` — the cap-2 variant: rows strictly increase and columns
+  weakly increase, so a column may hold two equal entries.  It is
   cross-checked against the transpose oracle (a filling is cap-2
   semistandard exactly when its transposed filling is classically
   semistandard).
@@ -20,8 +20,11 @@ classical Schur polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from operator import le, lt
 from typing import Iterator, Sequence
+
+from .gf2_exterior import MAX_N
 
 __all__ = [
     "Tableau",
@@ -81,23 +84,11 @@ def is_ssyt(t: Tableau) -> bool:
 
 
 def is_2ssyt(t: Tableau) -> bool:
-    """Cap-2 semistandard: weakly increasing rows and columns, no repeat in
-    a row.  Columns with equal entries need no further check: the value's
-    run in each row is at least 1 long, so the two runs reach the cap 2."""
+    """Cap-2 semistandard: rows strictly increase, columns weakly increase.
+    Columns with equal entries need no further check: the value's run in
+    each row is at least 1 long, so the two runs reach the cap 2."""
     r1, r2 = t.row1, t.row2
-    # (1) rows and columns weakly increase
-    if any(r1[i] > r1[i + 1] for i in range(len(r1) - 1)):
-        return False
-    if any(r2[i] > r2[i + 1] for i in range(len(r2) - 1)):
-        return False
-    if any(r1[i] > r2[i] for i in range(len(r2))):
-        return False
-    # (2) an entry may appear at most cap-1 = 1 times per row
-    if any(r1[i] == r1[i + 1] for i in range(len(r1) - 1)):
-        return False
-    if any(r2[i] == r2[i + 1] for i in range(len(r2) - 1)):
-        return False
-    return True
+    return all(map(lt, r1, r1[1:])) and all(map(lt, r2, r2[1:])) and all(map(le, r1, r2))
 
 
 def weight(t: Tableau) -> tuple[int, ...]:
@@ -108,55 +99,40 @@ def weight(t: Tableau) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _increasing_rows(length: int, n: int, strict: bool) -> Iterator[tuple[int, ...]]:
-    """All (weakly or strictly) increasing rows, in lexicographic order."""
-    row: list[int] = []
-
-    def rec(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(row)
-            return
-        for v in range(lo, n + 1):
-            row.append(v)
-            yield from rec(pos + 1, v + 1 if strict else v)
-            row.pop()
-
-    return rec(0, 1)
-
-
 def enumerate_tableaux(shape: tuple[int, int], n: int, kind: str = "ssyt") -> list[Tableau]:
     """All tableaux of the given two-row shape, sorted lexicographically.
 
-    ``kind`` is ``"ssyt"`` (classical) or ``"2ssyt"`` (cap-2).  The result is
-    ordered by (row1, row2) and free of duplicates by construction.
+    ``kind`` is ``"ssyt"`` (classical) or ``"2ssyt"`` (cap-2).  Rows come from
+    ``itertools``: ``combinations`` for the strict rows of cap-2 tableaux,
+    ``combinations_with_replacement`` for the weak rows of classical ones.
+    Both yield their rows in lexicographic order, and the bottom row varies
+    fastest, so the result is ordered by (row1, row2) and free of duplicates.
+    A bottom row starts at the least letter the first column allows (``row1[0]``
+    for cap-2, ``row1[0] + 1`` for classical); the other columns are filtered.
+    The bottom rows from each letter are built once and shared by every top
+    row: classical shapes reject most candidates on a later column, and
+    building the candidates anew for each top row made them slower.
     """
     if kind not in ("ssyt", "2ssyt"):
         raise ValueError(f"unknown tableau kind {kind!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"need n <= {MAX_N}, got {n}")
     len1, len2 = shape
     if len2 > len1 or len2 < 0:
         raise ValueError(f"invalid two-row shape {shape}")
-    strict = kind == "2ssyt"
-    out: list[Tableau] = []
-    for row1 in _increasing_rows(len1, n, strict):
-        row2: list[int] = []
-
-        def rec(pos: int) -> None:
-            if pos == len2:
-                out.append(Tableau(row1, tuple(row2), n))
-                return
-            if strict:
-                lo = max(row1[pos], row2[-1] + 1 if row2 else 1)
-            else:
-                lo = max(row1[pos] + 1, row2[-1] if row2 else 1)
-            for v in range(lo, n + 1):
-                row2.append(v)
-                rec(pos + 1)
-                row2.pop()
-
-        rec(0)
-    return out
+    if kind == "2ssyt":
+        rows, column, gap = combinations, le, 0
+    else:
+        rows, column, gap = combinations_with_replacement, lt, 1
+    bottoms = {lo: list(rows(range(lo, n + 1), len2)) for lo in range(1, n + 2)}
+    return [
+        Tableau(row1, row2, n)
+        for row1 in rows(range(1, n + 1), len1)
+        for row2 in bottoms[row1[0] + gap if row1 else 1]
+        if all(map(column, row1, row2))
+    ]
 
 
 def transpose_shape(shape: tuple[int, int]) -> tuple[int, ...]:

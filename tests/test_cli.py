@@ -39,6 +39,13 @@ def test_enumerate_rejects_an_empty_alphabet(capsys, shape):
     assert err == "error: need n >= 1, got 0\n"
 
 
+def test_enumerate_rejects_too_many_letters(capsys):
+    code, out, err = run(capsys, "enumerate", "--shape", "1,0", "--n", "33")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need n <= 32, got 33\n"
+
+
 def test_straighten_reports_verified_result(capsys):
     code, out, _ = run(
         capsys,

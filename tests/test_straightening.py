@@ -386,6 +386,30 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_unused_imports():
+    src = Path(straightening.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the public re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).split(".")[0] not in read
+                ]
+    assert unused == []
+
+
 def test_square_junction_full_chain_without_repeated_head_is_unreachable():
     # B[k] == A[k+2] for every k, so no chain break exists; with A[0] == A[1]
     # the minor-chain move would have applied first

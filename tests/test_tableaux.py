@@ -93,6 +93,25 @@ def test_enumeration_is_sorted_duplicate_free_and_self_consistent():
                 assert all(pred(t) for t in ts)
 
 
+def test_enumeration_matches_the_column_strict_oracle():
+    # a classical tableau is a column-strict filling of its own shape; a cap-2
+    # tableau is one of the transposed shape, whose rows are its columns
+    for n in range(1, 7):
+        for r1 in range(0, 7):
+            for r2 in range(0, r1 + 1):
+                classical = [(t.row1, t.row2) for t in enumerate_tableaux((r1, r2), n, kind="ssyt")]
+                # the oracle drops empty rows, so pad its fillings back to two
+                expect = [(*f, (), ())[:2] for f in enumerate_column_strict((r1, r2), n)]
+                assert classical == sorted(expect), ((r1, r2), n)
+
+                cap2 = [(t.row1, t.row2) for t in enumerate_tableaux((r1, r2), n, kind="2ssyt")]
+                expect = [
+                    (tuple(c[0] for c in f), tuple(c[1] for c in f[:r2]))
+                    for f in enumerate_column_strict(transpose_shape((r1, r2)), n)
+                ]
+                assert cap2 == sorted(expect), ((r1, r2), n)
+
+
 def test_known_enumeration_count():
     assert len(enumerate_tableaux((2, 1), 3, kind="2ssyt")) == 8
 
@@ -112,6 +131,12 @@ def test_unknown_kind_rejected():
 def test_empty_alphabet_rejected(shape, n):
     with pytest.raises(ValueError, match="need n >= 1"):
         enumerate_tableaux(shape, n)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (0, 0)])
+def test_too_many_letters_rejected(shape):
+    with pytest.raises(ValueError, match="need n <= 32, got 33"):
+        enumerate_tableaux(shape, 33)
 
 
 def test_weight_counts_occurrences():
