@@ -15,9 +15,12 @@ Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
 bidegree (a, b) depends only on (d, a, b, i, j): neither on n nor on where
 the entries 2 and 1 sit.  One echelon basis per such orbit is built on the
-(i+j)-letter alphabet and cached under that key; every weight space of every
-n is relabelled onto it.  ``ideal_power_span`` keeps the brute-force spanning
-set over a whole bidegree, for reference.
+(i+j)-letter alphabet and cached under that key, so the cache holds at most
+one block per (d, a, b, i, j) and never depends on n; every weight space of
+every n is relabelled onto it.  Each block comes from the blocks one power
+below by the product rule (d-th power) = (minor ideal) * (d-1-st power),
+which holds weight space by weight space.  ``ideal_power_span`` keeps the
+brute-force spanning set over a whole bidegree, for reference.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .gf2_exterior import ExtElement, _times_minor, minor, monomial
 from .linalg_gf2 import EchelonBasis
 from .standard_monomials import IndexTriple, basis_index_set, case_tag, two_standard_monomial
-from .symfunc import OrbitCharacter, SymPoly, expected_character, h_squarefree, schur
+from .symfunc import OrbitCharacter, SymPoly, _orbits, expected_character, h_squarefree, schur
 from .tableaux import transpose_shape
 
 __all__ = [
@@ -78,14 +81,6 @@ def ideal_power_span(d: int, bidegree: tuple[int, int], n: int) -> tuple[ExtElem
     return _ideal_span_cached(d, bidegree[0], bidegree[1], n)
 
 
-def _orbits(a: int, b: int, n: int) -> Iterator[tuple[int, int]]:
-    """(i, j) of every weight 2^i 1^j 0^(n-i-j) with monomials of bidegree (a, b)."""
-    for i in range(min(a, b) + 1):
-        j = a + b - 2 * i
-        if i + j <= n:
-            yield i, j
-
-
 @lru_cache(maxsize=None)
 def _orbit_columns(j: int, k: int) -> dict[int, int]:
     """Column index of a weight space with j letters of weight 1, k of them in x.
@@ -115,60 +110,48 @@ def _take(p: int, r2: int, r1: int) -> tuple[int, int]:
     return r2, r1 ^ p
 
 
-def _minor_products(
-    d: int, letters: int, r2: int, r1: int
-) -> Iterator[tuple[set[tuple[int, int]], int, int]]:
-    """Nonzero products of d distinct minors that fit under a residual weight.
-
-    The weight is given by the masks ``r2`` and ``r1`` of the letters that
-    may still be used twice and once.  Yields each product's terms as
-    (xmask, ymask) pairs with the residual masks left after it.
-    """
-    pairs = list(combinations(range(letters), 2))
-
-    def extend(start, left, terms, r2, r1):
-        if not left:
-            yield terms, r2, r1
-            return
-        for k in range(start, len(pairs) - left + 1):
-            p, q = pairs[k]
-            bp, bq = 1 << p, 1 << q
-            if not (bp & (r2 | r1) and bq & (r2 | r1)):
-                continue
-            prod = _times_minor(terms, bp, bq)
-            if prod:
-                s2, s1 = _take(bp, r2, r1)
-                yield from extend(k + 1, left - 1, prod, *_take(bq, s2, s1))
-
-    return extend(0, d, {(0, 0)}, r2, r1)
-
-
 @lru_cache(maxsize=None)
 def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
     """Echelon basis of the d-th ideal power in the weight space 2^i 1^j of
     bidegree (a, b), on the letters 0..i+j-1 (0..i-1 of weight 2).
 
-    Spanning products: d distinct minors whose letters fit under the weight,
-    times the monomial the rest of the weight fixes.  A letter left with
-    weight 2 goes to both x and y; the letters left with weight 1 are split
-    so that the x-degree is a.
+    The 0-th power is the whole weight space.  Above it, the d-th power is
+    the minor ideal times the (d-1)-st, weight space by weight space: the sum
+    over letter pairs p < q of the minor on p, q times the (d-1)-st power at
+    the weight left after one more use of p and of q.  That smaller weight is
+    another orbit, whose block is relabelled onto the letters left (those of
+    weight 2 first, each kind in order).  The cache holds at most one block
+    per (d, a, b, i, j) and never depends on n.
     """
-    block = EchelonBasis()
     if d > min(a, b) or not 0 <= a - i <= j:
-        return block
+        return EchelonBasis()
     cols = _orbit_columns(j, a - i)
-    for terms, r2, r1 in _minor_products(d, i + j, (1 << i) - 1, ((1 << j) - 1) << i):
-        free = [1 << p for p in range(i + j) if r1 >> p & 1]
-        k = a - d - r2.bit_count()
-        if k < 0:
+    if d == 0:
+        return EchelonBasis(1 << c for c in range(len(cols)))
+    block = EchelonBasis()
+    for p, q in combinations(range(i + j), 2):
+        bp, bq = 1 << p, 1 << q
+        r2, r1 = _take(bq, *_take(bp, (1 << i) - 1, ((1 << j) - 1) << i))
+        below = _orbit_block(d - 1, a - 1, b - 1, r2.bit_count(), r1.bit_count())
+        if not below.rank:
             continue
-        for xs in combinations(free, k):
-            sx = r2 | sum(xs)
-            sy = r2 | (r1 ^ sum(xs))
+        # images[c]: the minor times the monomial of column c of the block
+        # below, whose x letters of weight 1 are the c-th choice in the order
+        # of _orbit_columns
+        ones = [1 << t for t in range(i + j) if r1 >> t & 1]
+        images = []
+        for xs in combinations(ones, a - 1 - r2.bit_count()):
+            sx = sum(xs)
             v = 0
-            for xm, ym in terms:
-                if not (xm & sx or ym & sy):
-                    v |= 1 << cols[(xm | sx) >> i]
+            for xm, _ in _times_minor(((r2 | sx, r2 | r1 ^ sx),), bp, bq):
+                v |= 1 << cols[xm >> i]
+            images.append(v)
+        for row in below.rows:
+            v = 0
+            while row:
+                low = row & -row
+                v ^= images[low.bit_length() - 1]
+                row ^= low
             block.add(v)
     return block
 

@@ -43,3 +43,8 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    @property
+    def rows(self) -> Iterable[int]:
+        """The pivot rows, as many as the rank, in a read-only view."""
+        return self._pivots.values()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2_exterior import ExtElement
+from .gf2_exterior import ExtElement, minor, monomial
 from .standard_monomials import (
     DomainError,
     IndexTriple,
@@ -216,8 +216,6 @@ def collapse_interlocked(t: Tableau) -> ExtElement:
     m = r1 - 2
     if t.row1[0] != t.row1[1] or t.row1[2:] != t.row2[:m]:
         raise DomainError(f"rows do not interlock: {t}")
-    from .gf2_exterior import minor, monomial
-
     alpha = t.row1[0]
     betas = t.row1[2:]
     delta, eps = t.row2[m], t.row2[m + 1]

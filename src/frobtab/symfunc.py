@@ -366,6 +366,14 @@ def _truncated_schur_coeff(r1: int, r2: int, i: int, j: int) -> int:
     return _choose(j, r1 - i) - _choose(j, r1 + 1 - i)
 
 
+def _orbits(a: int, b: int, n: int) -> Iterator[tuple[int, int]]:
+    """(i, j) of every weight 2^i 1^j 0^(n-i-j) with monomials of bidegree (a, b)."""
+    for i in range(min(a, b) + 1):
+        j = a + b - 2 * i
+        if i + j <= n:
+            yield i, j
+
+
 def _formula_terms(a: int, b: int, d: int) -> list[tuple[int, int, int]]:
     """The case formula as signed truncated Schur terms (sign, r1, r2)."""
     case = classify_triple(a, b, d)
@@ -380,10 +388,8 @@ def expected_character(a: int, b: int, d: int, n: int) -> OrbitCharacter:
     """Predicted character of the (d, d+1) ideal-power subquotient in bidegree (a, b)."""
     terms = _formula_terms(a, b, d)
     table = {}
-    for i in range((a + b) // 2 + 1):
-        j = a + b - 2 * i
-        if i + j <= n:
-            table[(i, j)] = sum(s * _truncated_schur_coeff(r1, r2, i, j) for s, r1, r2 in terms)
+    for i, j in _orbits(a, b, n):
+        table[(i, j)] = sum(s * _truncated_schur_coeff(r1, r2, i, j) for s, r1, r2 in terms)
     return OrbitCharacter(table, n)
 
 

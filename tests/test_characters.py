@@ -1,8 +1,9 @@
 """Character computation and basis certification against the GF(2) oracle.
 
-The orbit engine is checked against a brute-force path kept here: the full
-spanning set of each ideal power over a whole bidegree, reduced weight by
-weight and over the whole bidegree at once.
+The orbit engine is checked against two brute-force paths kept here: the
+full spanning set of each ideal power over a whole bidegree, reduced weight
+by weight and over the whole bidegree at once; and ``spanning_block``, each
+orbit block built from its d-fold products of minors.
 """
 
 import math
@@ -17,6 +18,8 @@ from frobtab.characters import (
     _basis_certificate,
     _ideal_span_cached,
     _orbit_block,
+    _orbit_columns,
+    _take,
     ideal_power_span,
     in_ideal_power,
     pieri_filtration_check,
@@ -25,7 +28,7 @@ from frobtab.characters import (
     telescoping_check,
     verify_triple,
 )
-from frobtab.gf2_exterior import ExtElement, minor, monomial, x_var, y_var
+from frobtab.gf2_exterior import ExtElement, _times_minor, minor, monomial, x_var, y_var
 from frobtab.linalg_gf2 import EchelonBasis
 from frobtab.standard_monomials import IndexTriple, basis_index_set, two_standard_monomial
 from frobtab.symfunc import OrbitCharacter, SymPoly, h_squarefree, schur
@@ -86,6 +89,60 @@ def brute_certificate(elements, idx):
     added = sum(joint.add(element_vector(e, cols)) for e in elements)
     full = brute_echelon(idx.d, idx.a, idx.b, idx.n)
     return added == len(elements), joint.rank == full.rank
+
+
+def _minor_products(d, letters, r2, r1):
+    """Nonzero products of d distinct minors that fit under a residual weight.
+
+    The weight is given by the masks ``r2`` and ``r1`` of the letters that
+    may still be used twice and once.  Yields each product's terms as
+    (xmask, ymask) pairs with the residual masks left after it.
+    """
+    pairs = list(combinations(range(letters), 2))
+
+    def extend(start, left, terms, r2, r1):
+        if not left:
+            yield terms, r2, r1
+            return
+        for k in range(start, len(pairs) - left + 1):
+            p, q = pairs[k]
+            bp, bq = 1 << p, 1 << q
+            if not (bp & (r2 | r1) and bq & (r2 | r1)):
+                continue
+            prod = _times_minor(terms, bp, bq)
+            if prod:
+                s2, s1 = _take(bp, r2, r1)
+                yield from extend(k + 1, left - 1, prod, *_take(bq, s2, s1))
+
+    return extend(0, d, {(0, 0)}, r2, r1)
+
+
+def spanning_block(d, a, b, i, j):
+    """``_orbit_block`` from its spanning products, in the same columns.
+
+    Spanning products: d distinct minors whose letters fit under the weight,
+    times the monomial the rest of the weight fixes.  A letter left with
+    weight 2 goes to both x and y; the letters left with weight 1 are split
+    so that the x-degree is a.
+    """
+    block = EchelonBasis()
+    if d > min(a, b) or not 0 <= a - i <= j:
+        return block
+    cols = _orbit_columns(j, a - i)
+    for terms, r2, r1 in _minor_products(d, i + j, (1 << i) - 1, ((1 << j) - 1) << i):
+        free = [1 << p for p in range(i + j) if r1 >> p & 1]
+        k = a - d - r2.bit_count()
+        if k < 0:
+            continue
+        for xs in combinations(free, k):
+            sx = r2 | sum(xs)
+            sy = r2 | (r1 ^ sum(xs))
+            v = 0
+            for xm, ym in terms:
+                if not (xm & sx or ym & sy):
+                    v |= 1 << cols[(xm | sx) >> i]
+            block.add(v)
+    return block
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +294,22 @@ def test_orbit_ranks_match_brute_force_at_every_weight(brute_ranks):
             for w in weights:
                 block = _orbit_block(d, a, b, w.count(2), w.count(1))
                 assert block.rank == brute.get(w, 0), (d, a, b, n, w)
+
+
+def test_orbit_blocks_span_the_spanning_products():
+    # every block with a, b <= 5 in both orders, including d = min(a, b) + 1;
+    # the weight spaces reach i + j = 10 letters, past the brute-force grid
+    checked = 0
+    for a in range(0, 6):
+        for b in range(0, 6):
+            for i in range(0, min(a, b) + 1):
+                j = a + b - 2 * i
+                for d in range(0, min(a, b) + 2):
+                    block, oracle = _orbit_block(d, a, b, i, j), spanning_block(d, a, b, i, j)
+                    assert block.rank == oracle.rank, (d, a, b, i, j)
+                    assert all(oracle.contains(row) for row in block.rows), (d, a, b, i, j)
+                    checked += 1
+    assert checked == 392
 
 
 def test_dimensions_and_characters_match_brute_force(brute_ranks):

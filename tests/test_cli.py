@@ -131,12 +131,20 @@ def test_verify_all_small_grid(capsys):
     }
 
 
-def test_verify_all_stdout_is_pinned(capsys):
-    # SHA-256 of the whole report for a <= 6, n <= 6 (498 triples)
-    code, out, _ = run(capsys, "verify-all", "--max-a", "6", "--max-n", "6")
+@pytest.mark.parametrize(
+    "size, want",
+    [
+        # SHA-256 of the whole report for a <= size, n <= size (498 and 833 triples)
+        (6, "dba328736de22f25969475896bae729d237bcbd40bcf998b4f697b457b2c4c77"),
+        (7, "23c683251c0f15ba043852301de9be99aab21f735600e83fe5819982403dbff2"),
+    ],
+    ids=["6x6", "7x7"],
+)
+def test_verify_all_stdout_is_pinned(capsys, size, want):
+    code, out, _ = run(capsys, "verify-all", "--max-a", str(size), "--max-n", str(size))
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "dba328736de22f25969475896bae729d237bcbd40bcf998b4f697b457b2c4c77"
+    assert len(out.splitlines()) == {6: 498, 7: 833}[size]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_verify_all_grid_file_and_out_file(tmp_path, capsys):

@@ -18,3 +18,12 @@ def test_echelon_basis_membership_and_copy():
     clone.add(0b100)
     assert clone.rank == 3
     assert eb.rank == 2  # copy does not alias the original
+
+
+def test_rows_rebuild_a_basis_of_the_same_rank():
+    eb = EchelonBasis([0b1011, 0b0110, 0b1101, 0b0011, 0b1110])
+    rows = list(eb.rows)
+    assert len(rows) == eb.rank == 3
+    rebuilt = EchelonBasis(rows)
+    assert rebuilt.rank == eb.rank
+    assert all(eb.contains(r) for r in rows)
