@@ -9,7 +9,9 @@ basis of the squarefree ring:
 * diagonal-torus characters of the subquotients, one coefficient per
   weight orbit (an ``OrbitCharacter``),
 * certification that the proposed straight-tableau basis really is one
-  (independent modulo the higher power, and spanning the lower one).
+  (independent modulo the higher power, and spanning the lower one), once
+  per compressed support: the basis tableaux whose letters are exactly
+  1..m stand for those on every m-letter subset of 1..n.
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -28,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .gf2_exterior import ExtElement, _times_minor, minor, monomial
 from .linalg_gf2 import EchelonBasis
-from .standard_monomials import IndexTriple, basis_index_set, case_tag, two_standard_monomial
+from .standard_monomials import IndexTriple, case_tag, exact_support_basis, two_standard_monomial
 from .symfunc import OrbitCharacter, SymPoly, _orbits, expected_character, h_squarefree, schur
 from .tableaux import transpose_shape
 
@@ -210,14 +213,15 @@ def in_ideal_power(e: ExtElement, d: int) -> bool:
     return True
 
 
-def _basis_certificate(elements: list[ExtElement], idx: IndexTriple) -> tuple[bool, bool]:
-    """(independent, spanning) of elements of bidegree (a, b) modulo the
-    d+1-st power, with spanning meant as spanning the d-th power.
+def _basis_certificate(elements: list[ExtElement], idx: IndexTriple) -> tuple[bool, int]:
+    """(independent, gained) of elements of bidegree (a, b) modulo the
+    d+1-st power: whether they are independent there, and the rank they add
+    over it.
 
     Standard monomials are weight homogeneous, so each element is one row
     of one weight space.  Ranks add up over weight spaces: the elements span
-    when the rank they add over the d+1-st power, summed over the weights
-    they reach, is the dimension of the subquotient.
+    the d-th power when the rank they add over the d+1-st power, summed over
+    the weights they reach, is the dimension of the subquotient.
     """
     a, b, d = idx.a, idx.b, idx.d
     joint: dict[tuple[int, int], EchelonBasis] = {}
@@ -235,7 +239,18 @@ def _basis_certificate(elements: list[ExtElement], idx: IndexTriple) -> tuple[bo
         eb.rank - _rank(d + 1, a, b, p2.bit_count(), p1.bit_count())
         for (p2, p1), eb in joint.items()
     )
-    return added == len(elements), gained == quotient_dimension(idx)
+    return added == len(elements), gained
+
+
+def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, bool, int]:
+    """(count, independent, gained) of the basis tableaux of (a, b, d) whose
+    letters are exactly 1..m, as ``_basis_certificate`` reads them."""
+    idx = IndexTriple(a, b, d, max(m, 1))
+    tabs = exact_support_basis(a, b, d, m)
+    independent, gained = _basis_certificate(
+        [two_standard_monomial(t, idx) for t in tabs], idx
+    )
+    return len(tabs), independent, gained
 
 
 @dataclass(frozen=True)
@@ -266,19 +281,46 @@ class CharacterReport:
         )
 
 
-def verify_triple(idx: IndexTriple) -> CharacterReport:
+def verify_triple(
+    idx: IndexTriple,
+    certificates: dict[tuple[int, int, int, int], tuple[int, bool, int]] | None = None,
+) -> CharacterReport:
     """Compare the computed subquotient character with the case formula and
-    certify the straight-tableau basis by rank computations."""
+    certify the straight-tableau basis by rank computations.
+
+    Permuting the letters preserves every ideal power, and the basis rules
+    only compare entries, so a basis tableau is certified on its support
+    moved onto 1..m.  The basis at n is the union over m-letter supports,
+    C(n, m) of each: it is independent when each support's part is, and it
+    spans when the rank it gains, summed with those weights, is the
+    dimension.  ``certificates`` maps (a, b, d, m) to the certificate of
+    that support; a caller that verifies many triples passes one dict to
+    every call, and the certificates missing from it are added.
+    """
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
     computed = subquotient_character(idx)
     expected = expected_character(a, b, d, n)
-    # the difference of two orbit tables expands only the orbits that differ
-    mismatched = tuple(w for w, _ in (computed - expected).items())
+    diff = computed - expected
+    # one weight per differing orbit: an orbit at n = 32 can hold 10^8 weights;
+    # a SymPoly on either side gives a SymPoly, listed weight by weight
+    if isinstance(diff, OrbitCharacter):
+        mismatched = tuple(diff.orbit_representatives())
+    else:
+        mismatched = tuple(w for w, _ in diff.items())
 
-    tabs = basis_index_set(idx)
-    independent, spanning = _basis_certificate(
-        [two_standard_monomial(t, idx) for t in tabs], idx
-    )
+    if certificates is None:
+        certificates = {}
+    basis_count = gained = 0
+    independent = True
+    for m in range(min(n, a + b) + 1):
+        cert = certificates.get((a, b, d, m))
+        if cert is None:
+            cert = certificates[(a, b, d, m)] = _support_certificate(a, b, d, m)
+        count, support_independent, support_gained = cert
+        basis_count += comb(n, m) * count
+        gained += comb(n, m) * support_gained
+        independent = independent and support_independent
+    quotient_dim = computed.evaluate_at_ones()
 
     return CharacterReport(
         a=a,
@@ -289,10 +331,10 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
         match=computed == expected,
         computed=computed,
         expected=expected,
-        basis_count=len(tabs),
-        quotient_dim=computed.evaluate_at_ones(),
+        basis_count=basis_count,
+        quotient_dim=quotient_dim,
         independent=independent,
-        spanning=spanning,
+        spanning=gained == quotient_dim,
         mismatched_weights=mismatched,
     )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import eq
+from operator import eq, le
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
@@ -34,6 +34,7 @@ __all__ = [
     "rectify",
     "two_standard_monomial",
     "basis_index_set",
+    "exact_support_basis",
     "is_two_straight",
     "rows_two_straight",
 ]
@@ -170,6 +171,35 @@ def basis_index_set(idx: IndexTriple) -> list[Tableau]:
         out += [Tableau(r, r, idx.n) for r in combinations(range(1, idx.n + 1), idx.a)]
         return out
     return enumerate_tableaux(idx.shape, idx.n, "2ssyt")
+
+
+def exact_support_basis(a: int, b: int, d: int, m: int) -> list[Tableau]:
+    """The tableaux of ``basis_index_set`` for (a, b, d) whose letters are
+    exactly 1..m, over the alphabet 1..max(m, 1).
+
+    Every rule that reads a basis tableau only compares its entries, so the
+    basis at any n is the union, over the m-letter subsets of 1..n, of these
+    tableaux moved onto each subset in order.  They are built directly: row 2
+    holds every letter that row 1 misses, plus len2 - (m - len1) letters of
+    row 1.  The cases follow ``basis_index_set``: a = b = d drops identical
+    rows, and a - 1 = b - 1 = d adds the square (1..a / 1..a) when m = a.
+    """
+    case = classify_triple(a, b, d)
+    len1, len2 = a + b - d, d
+    n = max(m, 1)
+    shared = len2 - (m - len1)
+    out = []
+    if shared >= 0:
+        letters = set(range(1, m + 1))
+        for row1 in combinations(range(1, m + 1), len1):
+            missing = letters.difference(row1)
+            for extra in combinations(row1, shared):
+                row2 = tuple(sorted(missing.union(extra)))
+                if all(map(le, row1, row2)) and not (case == CASE_ALL_EQUAL and row1 == row2):
+                    out.append(Tableau(row1, row2, n))
+    if case == CASE_OFF_BY_ONE and m == a:
+        out.append(Tableau(tuple(range(1, a + 1)), tuple(range(1, a + 1)), n))
+    return out
 
 
 def _multiplicity_ok(A: tuple[int, ...], B: tuple[int, ...], d: int) -> bool:

@@ -229,6 +229,11 @@ class OrbitCharacter:
     def items(self) -> list[tuple[tuple[int, ...], int]]:
         return self.to_sympoly().items()
 
+    def orbit_representatives(self) -> list[tuple[int, ...]]:
+        """One weight 2^i 1^j 0^(n-i-j) per orbit with a nonzero coefficient,
+        in orbit order; unlike ``items`` it expands no orbit."""
+        return [(2,) * i + (1,) * j + (0,) * (self.n - i - j) for i, j in sorted(self._table)]
+
     def _binop(self, other, sign: int):
         if isinstance(other, SymPoly):
             return self.to_sympoly()._binop(other, sign)

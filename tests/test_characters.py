@@ -3,7 +3,9 @@
 The orbit engine is checked against two brute-force paths kept here: the
 full spanning set of each ideal power over a whole bidegree, reduced weight
 by weight and over the whole bidegree at once; and ``spanning_block``, each
-orbit block built from its d-fold products of minors.
+orbit block built from its d-fold products of minors.  The basis certificate
+on compressed supports is checked against ``per_n_certificate``, which
+certifies every basis tableau on n letters.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobtab import characters
 from frobtab.characters import (
     _basis_certificate,
     _ideal_span_cached,
@@ -30,8 +33,13 @@ from frobtab.characters import (
 )
 from frobtab.gf2_exterior import ExtElement, _times_minor, minor, monomial, x_var, y_var
 from frobtab.linalg_gf2 import EchelonBasis
-from frobtab.standard_monomials import IndexTriple, basis_index_set, two_standard_monomial
-from frobtab.symfunc import OrbitCharacter, SymPoly, h_squarefree, schur
+from frobtab.standard_monomials import (
+    IndexTriple,
+    basis_index_set,
+    exact_support_basis,
+    two_standard_monomial,
+)
+from frobtab.symfunc import OrbitCharacter, SymPoly, expected_character, h_squarefree, schur
 from frobtab.tableaux import transpose_shape
 
 # (a, b, n) of the differential grid: a <= 6, n <= 6
@@ -89,6 +97,18 @@ def brute_certificate(elements, idx):
     added = sum(joint.add(element_vector(e, cols)) for e in elements)
     full = brute_echelon(idx.d, idx.a, idx.b, idx.n)
     return added == len(elements), joint.rank == full.rank
+
+
+def certificate(elements, idx):
+    """(independent, spanning) of the elements, as ``brute_certificate`` gives it."""
+    independent, gained = _basis_certificate(elements, idx)
+    return independent, gained == quotient_dimension(idx)
+
+
+def per_n_certificate(idx):
+    """(basis_count, independent, spanning) from every basis tableau on n letters."""
+    tabs = basis_index_set(idx)
+    return (len(tabs), *certificate([two_standard_monomial(t, idx) for t in tabs], idx))
 
 
 def _minor_products(d, letters, r2, r1):
@@ -420,12 +440,86 @@ def test_certificate_rejects_duplicated_and_dropped_basis_elements():
                         continue
                     duplicated = basis + [basis[-1]]
                     dropped = basis[1:]
-                    assert _basis_certificate(basis, idx) == (True, True), idx
-                    assert _basis_certificate(duplicated, idx) == (False, True), idx
-                    assert _basis_certificate(dropped, idx) == (True, False), idx
+                    assert certificate(basis, idx) == (True, True), idx
+                    assert certificate(duplicated, idx) == (False, True), idx
+                    assert certificate(dropped, idx) == (True, False), idx
                     for elements in (basis, duplicated, dropped):
-                        assert _basis_certificate(elements, idx) == brute_certificate(
+                        assert certificate(elements, idx) == brute_certificate(
                             elements, idx
                         ), idx
                     checked += 1
     assert checked >= 40
+
+
+def test_support_certificate_agrees_with_the_per_n_certificate():
+    triples = [IndexTriple(0, 0, 0, n) for n in range(1, 9)] + [
+        IndexTriple(a, b, d, n)
+        for n in range(1, 9)
+        for a in range(1, 6)
+        for b in range(0, a + 1)
+        for d in range(0, b + 1)
+    ]
+    assert len(triples) == 8 + 440
+    certificates = {}
+    for idx in triples:
+        want = per_n_certificate(idx)
+        for rep in (verify_triple(idx), verify_triple(idx, certificates)):
+            assert (rep.basis_count, rep.independent, rep.spanning) == want, idx
+            assert want == (rep.quotient_dim, True, True), idx
+
+
+@pytest.mark.parametrize("mutant", ["dropped", "duplicated"])
+def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(monkeypatch, mutant):
+    # dropping a tableau of support m breaks spanning, duplicating one breaks
+    # independence, at every n >= m and at no smaller n
+    original = exact_support_basis
+    for a, b, d, m in [(1, 1, 0, 1), (3, 2, 1, 4), (3, 3, 3, 4), (4, 4, 3, 4), (5, 3, 2, 7)]:
+        def mutated(*key, target=(a, b, d, m)):
+            tabs = original(*key)
+            if key != target:
+                return tabs
+            return tabs[1:] if mutant == "dropped" else tabs + tabs[:1]
+
+        monkeypatch.setattr(characters, "exact_support_basis", mutated)
+        assert original(a, b, d, m), (a, b, d, m)
+        for n in list(range(1, 10)) + [32]:
+            rep = verify_triple(IndexTriple(a, b, d, n))
+            holds = n >= m
+            assert rep.match, (a, b, d, n)
+            assert rep.spanning == (mutant == "duplicated" or not holds), (a, b, d, n)
+            assert rep.independent == (mutant == "dropped" or not holds), (a, b, d, n)
+            sign = 1 if mutant == "dropped" else -1
+            assert rep.quotient_dim - rep.basis_count == sign * math.comb(n, m), (a, b, d, n)
+
+
+def test_verify_triple_reads_the_character_once(monkeypatch):
+    calls = []
+    original = characters.subquotient_character
+
+    def counted(idx):
+        calls.append(idx)
+        return original(idx)
+
+    monkeypatch.setattr(characters, "subquotient_character", counted)
+    monkeypatch.setattr(characters, "quotient_dimension", None)
+    assert verify_triple(IndexTriple(3, 2, 1, 5)).ok
+    assert calls == [IndexTriple(3, 2, 1, 5)]
+
+
+def test_mismatched_weights_list_one_weight_per_flipped_orbit(monkeypatch):
+    # the orbit (0, 12) alone has C(32, 12) weights; expanding it would hang
+    flip = OrbitCharacter({(0, 12): 1, (6, 0): -1}, 32)
+    monkeypatch.setattr(
+        characters, "expected_character", lambda *args: expected_character(*args) + flip
+    )
+    rep = verify_triple(IndexTriple(6, 6, 0, 32))
+    assert not rep.match and not rep.ok
+    assert rep.independent and rep.spanning
+    assert rep.mismatched_weights == ((1,) * 12 + (0,) * 20, (2,) * 6 + (0,) * 26)
+
+
+def test_the_caches_of_characters_are_the_orbit_and_span_caches():
+    # certificates are shared only through the dict a caller passes, so
+    # every verify_triple call does its own certificate work
+    cached = {name for name, value in vars(characters).items() if hasattr(value, "cache_info")}
+    assert cached == {"_ideal_span_cached", "_orbit_columns", "_orbit_block"}

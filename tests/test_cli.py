@@ -131,20 +131,34 @@ def test_verify_all_small_grid(capsys):
     }
 
 
+PINNED_6X8 = "3dedf07214cf7e7f906afe22e418e6705cd3755b0a65923a77f23ea8f733df2d"
+
+
 @pytest.mark.parametrize(
-    "size, want",
+    "max_a, max_n, lines, want",
     [
-        # SHA-256 of the whole report for a <= size, n <= size (498 and 833 triples)
-        (6, "dba328736de22f25969475896bae729d237bcbd40bcf998b4f697b457b2c4c77"),
-        (7, "23c683251c0f15ba043852301de9be99aab21f735600e83fe5819982403dbff2"),
+        # SHA-256 of the whole report for a <= max_a, n <= max_n
+        (6, 6, 498, "dba328736de22f25969475896bae729d237bcbd40bcf998b4f697b457b2c4c77"),
+        (7, 7, 833, "23c683251c0f15ba043852301de9be99aab21f735600e83fe5819982403dbff2"),
+        (6, 8, 664, PINNED_6X8),
     ],
-    ids=["6x6", "7x7"],
+    ids=["6x6", "7x7", "6x8"],
 )
-def test_verify_all_stdout_is_pinned(capsys, size, want):
-    code, out, _ = run(capsys, "verify-all", "--max-a", str(size), "--max-n", str(size))
+def test_verify_all_stdout_is_pinned(capsys, max_a, max_n, lines, want):
+    code, out, _ = run(capsys, "verify-all", "--max-a", str(max_a), "--max-n", str(max_n))
     assert code == 0
-    assert len(out.splitlines()) == {6: 498, 7: 833}[size]
+    assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_verify_all_reaches_32_letters(capsys):
+    code, out, _ = run(capsys, "verify-all", "--max-a", "6", "--max-n", "32")
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == 2656
+    assert all(json.loads(line)["ok"] for line in lines)
+    # the grid is n-major, so its first 664 lines are the 6x8 report
+    assert hashlib.sha256("".join(lines[:664]).encode()).hexdigest() == PINNED_6X8
 
 
 def test_verify_all_grid_file_and_out_file(tmp_path, capsys):

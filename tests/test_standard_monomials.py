@@ -10,6 +10,7 @@ from frobtab.standard_monomials import (
     IndexTriple,
     basis_index_set,
     case_tag,
+    exact_support_basis,
     is_two_straight,
     rectify,
     standard_monomial,
@@ -136,6 +137,24 @@ def test_straightness_predicate_is_exactly_the_rectify_image():
                         assert is_two_straight(t, idx) == (
                             (t.row1, t.row2) in image
                         ), (idx, t)
+
+
+def test_exact_support_basis_is_the_basis_on_exactly_m_letters():
+    assert exact_support_basis(0, 0, 0, 0) == [Tableau((), (), 1)]
+    checked = 0
+    for a in range(0, 6):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(1, a + b + 1):
+                    want = {
+                        t
+                        for t in basis_index_set(IndexTriple(a, b, d, m))
+                        if set(t.row1 + t.row2) == set(range(1, m + 1))
+                    }
+                    got = exact_support_basis(a, b, d, m)
+                    assert len(got) == len(want) and set(got) == want, (a, b, d, m)
+                    checked += 1
+    assert checked == 350
 
 
 def test_straightness_golden_negative():
