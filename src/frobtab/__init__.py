@@ -13,7 +13,6 @@ from .characters import (
     ideal_power_span,
     in_ideal_power,
     pieri_filtration_check,
-    quotient_dimension,
     subquotient_character,
     telescoping_check,
     verify_triple,
@@ -60,10 +59,8 @@ from .symfunc import (
     alternating_sum_matches_distinct_rows,
     classify_triple,
     demote,
-    elementary,
     expected_character,
     h_squarefree,
-    is_symmetric,
     promotable_tableaux,
     promote,
     schur,
@@ -72,7 +69,6 @@ from .symfunc import (
 )
 from .tableaux import (
     Tableau,
-    count_column_strict,
     enumerate_column_strict,
     enumerate_tableaux,
     format_tableau,
@@ -105,7 +101,6 @@ __all__ = [
     "weight",
     "enumerate_tableaux",
     "enumerate_column_strict",
-    "count_column_strict",
     "transpose_shape",
     "transpose_tableau",
     "format_tableau",
@@ -136,8 +131,6 @@ __all__ = [
     "CASE_GENERAL",
     "CASE_ALL_EQUAL",
     "CASE_OFF_BY_ONE",
-    "is_symmetric",
-    "elementary",
     "h_squarefree",
     "schur_squarefree",
     "schur",
@@ -151,7 +144,6 @@ __all__ = [
     # characters
     "CharacterReport",
     "ideal_power_span",
-    "quotient_dimension",
     "subquotient_character",
     "in_ideal_power",
     "verify_triple",

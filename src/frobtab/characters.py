@@ -11,7 +11,8 @@ basis of the squarefree ring:
 * certification that the proposed straight-tableau basis really is one
   (independent modulo the higher power, and spanning the lower one), once
   per compressed support: the basis tableaux whose letters are exactly
-  1..m stand for those on every m-letter subset of 1..n.
+  1..m stand for those on every m-letter subset of 1..n.  Each standard
+  monomial's row is built from the tableau's rows, with no ``ExtElement``.
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -35,14 +36,13 @@ from typing import Iterable
 
 from .gf2_exterior import ExtElement, _times_minor, minor, monomial
 from .linalg_gf2 import EchelonBasis
-from .standard_monomials import IndexTriple, case_tag, exact_support_basis, two_standard_monomial
+from .standard_monomials import IndexTriple, _monomial_terms, case_tag, exact_support_basis, rectify
 from .symfunc import OrbitCharacter, SymPoly, _orbits, expected_character, h_squarefree, schur
 from .tableaux import transpose_shape
 
 __all__ = [
     "CharacterReport",
     "ideal_power_span",
-    "quotient_dimension",
     "subquotient_character",
     "in_ideal_power",
     "verify_triple",
@@ -190,11 +190,6 @@ def subquotient_character(idx: IndexTriple) -> OrbitCharacter:
     )
 
 
-def quotient_dimension(idx: IndexTriple) -> int:
-    """dim of (d-th power)/(d+1-st power) in bidegree (a, b)."""
-    return subquotient_character(idx).evaluate_at_ones()
-
-
 def in_ideal_power(e: ExtElement, d: int) -> bool:
     """Membership of an element in the d-th power of the minor ideal.
 
@@ -213,44 +208,36 @@ def in_ideal_power(e: ExtElement, d: int) -> bool:
     return True
 
 
-def _basis_certificate(elements: list[ExtElement], idx: IndexTriple) -> tuple[bool, int]:
-    """(independent, gained) of elements of bidegree (a, b) modulo the
-    d+1-st power: whether they are independent there, and the rank they add
-    over it.
+def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
+    """(count, added) of the basis tableaux of (a, b, d) whose letters are
+    exactly 1..m: how many there are, and how many of their standard
+    monomials raise the rank over the d+1-st power, which is the rank they
+    add over it (ranks add up over weight spaces).
 
-    Standard monomials are weight homogeneous, so each element is one row
-    of one weight space.  Ranks add up over weight spaces: the elements span
-    the d-th power when the rank they add over the d+1-st power, summed over
-    the weights they reach, is the dimension of the subquotient.
+    A tableau has a + b entries on m letters, none used more than twice, so
+    its monomial lies in a weight space 2^i 1^j with i = a + b - m.  The row
+    is built on the rectified tableau relabelled as in ``_orbit_block``
+    (letters used twice first, each kind in order).
     """
-    a, b, d = idx.a, idx.b, idx.d
-    joint: dict[tuple[int, int], EchelonBasis] = {}
-    added = 0
-    for e in elements:
-        for (x_degree, p2, p1), v in _weight_pieces(e.term_masks).items():
-            i, j = p2.bit_count(), p1.bit_count()
-            if (x_degree, 2 * i + j - x_degree) != (a, b):
-                raise ValueError(f"element {e} is not of bidegree {(a, b)}")
-            eb = joint.get((p2, p1))
-            if eb is None:
-                eb = joint[(p2, p1)] = _orbit_block(d + 1, a, b, i, j).copy()
-            added += eb.add(v)
-    gained = sum(
-        eb.rank - _rank(d + 1, a, b, p2.bit_count(), p1.bit_count())
-        for (p2, p1), eb in joint.items()
-    )
-    return added == len(elements), gained
-
-
-def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, bool, int]:
-    """(count, independent, gained) of the basis tableaux of (a, b, d) whose
-    letters are exactly 1..m, as ``_basis_certificate`` reads them."""
-    idx = IndexTriple(a, b, d, max(m, 1))
     tabs = exact_support_basis(a, b, d, m)
-    independent, gained = _basis_certificate(
-        [two_standard_monomial(t, idx) for t in tabs], idx
-    )
-    return len(tabs), independent, gained
+    if not tabs:
+        return 0, 0
+    idx = IndexTriple(a, b, d, max(m, 1))
+    i = a + b - m
+    cols = _orbit_columns(m - i, a - i)
+    above = _orbit_block(d + 1, a, b, i, m - i)
+    joint: dict[frozenset[int], EchelonBasis] = {}
+    added = 0
+    for t in tabs:
+        twice = frozenset(t.row1).intersection(t.row2)  # rectify keeps the entries
+        order = sorted(range(1, m + 1), key=lambda v: v not in twice)
+        label = dict(zip(order, range(1, m + 1)))
+        r = rectify(t, idx)
+        terms = _monomial_terms(tuple(map(label.get, r.row1)), tuple(map(label.get, r.row2)), a)
+        if twice not in joint:
+            joint[twice] = above.copy()
+        added += joint[twice].add(sum(1 << cols[xm >> i] for xm, _ in terms))
+    return len(tabs), added
 
 
 @dataclass(frozen=True)
@@ -283,7 +270,7 @@ class CharacterReport:
 
 def verify_triple(
     idx: IndexTriple,
-    certificates: dict[tuple[int, int, int, int], tuple[int, bool, int]] | None = None,
+    certificates: dict[tuple[int, int, int, int], tuple[int, int]] | None = None,
 ) -> CharacterReport:
     """Compare the computed subquotient character with the case formula and
     certify the straight-tableau basis by rank computations.
@@ -292,10 +279,11 @@ def verify_triple(
     only compare entries, so a basis tableau is certified on its support
     moved onto 1..m.  The basis at n is the union over m-letter supports,
     C(n, m) of each: it is independent when each support's part is, and it
-    spans when the rank it gains, summed with those weights, is the
-    dimension.  ``certificates`` maps (a, b, d, m) to the certificate of
-    that support; a caller that verifies many triples passes one dict to
-    every call, and the certificates missing from it are added.
+    spans when the rank it adds, summed with those weights, is the
+    dimension.  ``certificates`` maps (a, b, d, m) to the (count, added)
+    pair of ``_support_certificate``; a caller that verifies many triples
+    passes one dict to every call, and the certificates missing from it are
+    added.
     """
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
     computed = subquotient_character(idx)
@@ -310,16 +298,16 @@ def verify_triple(
 
     if certificates is None:
         certificates = {}
-    basis_count = gained = 0
+    basis_count = rank_added = 0
     independent = True
     for m in range(min(n, a + b) + 1):
         cert = certificates.get((a, b, d, m))
         if cert is None:
             cert = certificates[(a, b, d, m)] = _support_certificate(a, b, d, m)
-        count, support_independent, support_gained = cert
+        count, added = cert
         basis_count += comb(n, m) * count
-        gained += comb(n, m) * support_gained
-        independent = independent and support_independent
+        rank_added += comb(n, m) * added
+        independent = independent and added == count
     quotient_dim = computed.evaluate_at_ones()
 
     return CharacterReport(
@@ -334,22 +322,19 @@ def verify_triple(
         basis_count=basis_count,
         quotient_dim=quotient_dim,
         independent=independent,
-        spanning=gained == quotient_dim,
+        spanning=rank_added == quotient_dim,
         mismatched_weights=mismatched,
     )
 
 
 def telescoping_check(a: int, b: int, n: int) -> bool:
     """Sum of all subquotient characters equals the character of the full
-    bidegree-(a, b) piece of the squarefree ring."""
-    # Both sides are symmetric of degree a + b, and neither coefficient at a
-    # weight 2^i 1^j depends on n.  Such a weight needs i + j <= a + b letters,
-    # so the verdict at n = a + b is the verdict at every larger n.
-    n = min(n, max(a + b, 1))
+    bidegree-(a, b) piece of the squarefree ring, whose weight space
+    2^i 1^j holds C(j, a - i) monomials."""
     total = OrbitCharacter.zero(n)
     for d in range(0, b + 1):
         total = total + subquotient_character(IndexTriple(a, b, d, n))
-    return total == h_squarefree(a, n) * h_squarefree(b, n)
+    return total == OrbitCharacter({(i, j): comb(j, a - i) for i, j in _orbits(a, b, n)}, n)
 
 
 def pieri_filtration_check(a: int, b: int, n: int) -> bool:
@@ -357,7 +342,7 @@ def pieri_filtration_check(a: int, b: int, n: int) -> bool:
     transposed two-row shapes (a+i, b-i)."""
     if a <= b:
         raise ValueError(f"requires a > b, got a={a}, b={b}")
-    # a + b letters suffice, for the reason given in telescoping_check
+    # no coefficient at a weight 2^i 1^j depends on n, and i + j <= a + b
     n = min(n, a + b)
     total = SymPoly.zero(n)
     for i in range(0, b + 1):

@@ -7,8 +7,9 @@ element
     times x-variables at row1 positions d+1..a
     times y-variables at row1 positions a+1..r1.
 
-It is built on (xmask, ymask) term sets: the two tail masks, times one
-column minor after another, validated as an ``ExtElement`` once at the end.
+``_monomial_terms`` builds it on (xmask, ymask) term sets: the two tail
+masks, times one column minor after another.  ``standard_monomial`` wraps
+the set in an ``ExtElement``; the basis certificate reads it as it is.
 
 For an index triple (a, b, d) the basis of the ideal-power subquotient in
 bidegree (a, b) is indexed by cap-2 semistandard tableaux through a
@@ -80,14 +81,20 @@ def standard_monomial(t: Tableau, a: int) -> ExtElement:
     r1, d = t.shape
     if not d <= a <= r1:
         raise DomainError(f"split point a={a} outside columns {d}..{r1} of shape {t.shape}")
-    xm = sum({1 << (v - 1) for v in t.row1[d:a]})
-    ym = sum({1 << (v - 1) for v in t.row1[a:]})
-    if xm.bit_count() + ym.bit_count() < r1 - d:
-        return ExtElement.zero(t.n)  # a letter repeats in a tail
+    return ExtElement(_monomial_terms(t.row1, t.row2, a), t.n)
+
+
+def _monomial_terms(row1: tuple[int, ...], row2: tuple[int, ...], a: int) -> set[tuple[int, int]]:
+    """Term set of ``standard_monomial`` on raw rows, unchecked; empty when it cancels."""
+    d = len(row2)
+    xm = sum({1 << (v - 1) for v in row1[d:a]})
+    ym = sum({1 << (v - 1) for v in row1[a:]})
+    if xm.bit_count() + ym.bit_count() < len(row1) - d:
+        return set()  # a letter repeats in a tail
     terms = {(xm, ym)}
-    for u, w in zip(t.row1, t.row2):
+    for u, w in zip(row1, row2):
         terms = _times_minor(terms, 1 << (u - 1), 1 << (w - 1))
-    return ExtElement(terms, t.n)
+    return terms
 
 
 def _identical_blocks(row1: list[int], row2: list[int]) -> list[tuple[int, int]]:

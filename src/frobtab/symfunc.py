@@ -3,9 +3,8 @@
 Provides the squarefree-exponent truncations used by the character
 computations: ``h_squarefree(d, n)`` is the complete homogeneous sum
 restricted to exponents below 2 (hence equal to the elementary symmetric
-polynomial, which is implemented separately by the Newton-style recurrence
-and used as the cross-check), and ``schur_squarefree`` is the 2x2
-Jacobi-Trudi determinant in those truncations.
+polynomial), and ``schur_squarefree`` is the 2x2 Jacobi-Trudi determinant in
+those truncations.
 
 Characters are symmetric with exponents at most 2, so ``OrbitCharacter``
 stores one coefficient per orbit (i, j) of weights 2^i 1^j 0^(n-i-j).
@@ -36,7 +35,6 @@ from .tableaux import (
 __all__ = [
     "SymPoly",
     "OrbitCharacter",
-    "elementary",
     "h_squarefree",
     "schur_squarefree",
     "schur",
@@ -48,7 +46,6 @@ __all__ = [
     "unpromotable_tableaux",
     "promote",
     "demote",
-    "is_symmetric",
 ]
 
 CASE_GENERAL = "general"
@@ -274,36 +271,12 @@ class OrbitCharacter:
         return f"OrbitCharacter({self._table}, n={self.n})"
 
 
-def is_symmetric(p: SymPoly) -> bool:
-    """Invariance under all adjacent variable swaps."""
-    for i in range(p.n - 1):
-        swapped: dict[tuple[int, ...], int] = {}
-        for exps, c in p.items():
-            e = list(exps)
-            e[i], e[i + 1] = e[i + 1], e[i]
-            swapped[tuple(e)] = c
-        if SymPoly(swapped, p.n) != p:
-            return False
-    return True
-
-
-def elementary(d: int, n: int) -> SymPoly:
-    """Elementary symmetric polynomial e_d via the one-variable-at-a-time recurrence."""
-    if d < 0:
-        return SymPoly.zero(n)
-    dp = [SymPoly.one(n)] + [SymPoly.zero(n)] * d
-    for k in range(1, n + 1):
-        tk = SymPoly.variable(k, n)
-        for j in range(min(d, k), 0, -1):
-            dp[j] = dp[j] + tk * dp[j - 1]
-    return dp[d]
-
-
 def h_squarefree(d: int, n: int) -> SymPoly:
     """Complete homogeneous sum of degree d restricted to squarefree exponents.
 
-    Defined by direct enumeration of the exponent vectors; agrees with
-    ``elementary(d, n)``, which is computed differently.
+    Defined by direct enumeration of the exponent vectors; it is the
+    elementary symmetric polynomial e_d, which the tests build by a
+    recurrence and compare with it.
     """
     if d < 0:
         return SymPoly.zero(n)

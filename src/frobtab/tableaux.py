@@ -37,7 +37,6 @@ __all__ = [
     "transpose_tableau",
     "is_ssyt_rows",
     "enumerate_column_strict",
-    "count_column_strict",
     "parse_tableau",
     "format_tableau",
 ]
@@ -199,10 +198,6 @@ def enumerate_column_strict(partition: Sequence[int], n: int) -> Iterator[tuple[
             rows[i].pop()
 
     yield from rec(0, 0)
-
-
-def count_column_strict(partition: Sequence[int], n: int) -> int:
-    return sum(1 for _ in enumerate_column_strict(partition, n))
 
 
 def format_tableau(t: Tableau) -> str:

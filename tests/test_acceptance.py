@@ -44,13 +44,17 @@ from frobtab.symfunc import (
 )
 from frobtab.tableaux import (
     Tableau,
-    count_column_strict,
+    enumerate_column_strict,
     enumerate_tableaux,
     is_2ssyt,
     is_ssyt,
     transpose_shape,
     weight,
 )
+
+
+def count_column_strict(partition, n):
+    return sum(1 for _ in enumerate_column_strict(partition, n))
 
 
 def grid_triples(max_a=4, max_n=5):

@@ -4,8 +4,10 @@ The orbit engine is checked against two brute-force paths kept here: the
 full spanning set of each ideal power over a whole bidegree, reduced weight
 by weight and over the whole bidegree at once; and ``spanning_block``, each
 orbit block built from its d-fold products of minors.  The basis certificate
-on compressed supports is checked against ``per_n_certificate``, which
-certifies every basis tableau on n letters.
+on compressed supports is checked against ``element_certificate``, which
+reads each basis tableau as an ``ExtElement`` split into weight pieces: once
+per support, and through ``per_n_certificate`` on every basis tableau on n
+letters.
 """
 
 import math
@@ -18,15 +20,15 @@ from hypothesis import strategies as st
 
 from frobtab import characters
 from frobtab.characters import (
-    _basis_certificate,
     _ideal_span_cached,
     _orbit_block,
     _orbit_columns,
+    _support_certificate,
     _take,
+    _weight_pieces,
     ideal_power_span,
     in_ideal_power,
     pieri_filtration_check,
-    quotient_dimension,
     subquotient_character,
     telescoping_check,
     verify_triple,
@@ -99,9 +101,43 @@ def brute_certificate(elements, idx):
     return added == len(elements), joint.rank == full.rank
 
 
+def quotient_dimension(idx):
+    """dim of (d-th power)/(d+1-st power) in bidegree (a, b)."""
+    return subquotient_character(idx).evaluate_at_ones()
+
+
+def element_certificate(elements, idx):
+    """(independent, gained) of elements of bidegree (a, b) modulo the
+    d+1-st power: whether they are independent there, and the rank they add
+    over it.
+
+    Standard monomials are weight homogeneous, so each element is one row
+    of one weight space, found by splitting it into weight pieces.  Ranks
+    add up over weight spaces, so the gained rank is summed over the weights
+    the elements reach.
+    """
+    a, b, d = idx.a, idx.b, idx.d
+    joint = {}
+    added = 0
+    for e in elements:
+        for (x_degree, p2, p1), v in _weight_pieces(e.term_masks).items():
+            i, j = p2.bit_count(), p1.bit_count()
+            if (x_degree, 2 * i + j - x_degree) != (a, b):
+                raise ValueError(f"element {e} is not of bidegree {(a, b)}")
+            eb = joint.get((p2, p1))
+            if eb is None:
+                eb = joint[(p2, p1)] = _orbit_block(d + 1, a, b, i, j).copy()
+            added += eb.add(v)
+    gained = sum(
+        eb.rank - _orbit_block(d + 1, a, b, p2.bit_count(), p1.bit_count()).rank
+        for (p2, p1), eb in joint.items()
+    )
+    return added == len(elements), gained
+
+
 def certificate(elements, idx):
     """(independent, spanning) of the elements, as ``brute_certificate`` gives it."""
-    independent, gained = _basis_certificate(elements, idx)
+    independent, gained = element_certificate(elements, idx)
     return independent, gained == quotient_dimension(idx)
 
 
@@ -109,6 +145,17 @@ def per_n_certificate(idx):
     """(basis_count, independent, spanning) from every basis tableau on n letters."""
     tabs = basis_index_set(idx)
     return (len(tabs), *certificate([two_standard_monomial(t, idx) for t in tabs], idx))
+
+
+def element_support_certificate(a, b, d, m):
+    """(count, independent, gained) of the basis tableaux whose letters are
+    exactly 1..m, as ``element_certificate`` reads their standard monomials."""
+    idx = IndexTriple(a, b, d, max(m, 1))
+    tabs = exact_support_basis(a, b, d, m)
+    independent, gained = element_certificate(
+        [two_standard_monomial(t, idx) for t in tabs], idx
+    )
+    return len(tabs), independent, gained
 
 
 def _minor_products(d, letters, r2, r1):
@@ -266,7 +313,7 @@ def test_pieri_small_grid():
 
 
 def _telescoping_at_every_letter(a, b, n):
-    """``telescoping_check`` without its clamp to a + b letters."""
+    """``telescoping_check`` with the full piece as a ``SymPoly`` product on n letters."""
     total = OrbitCharacter.zero(n)
     for d in range(0, b + 1):
         total = total + subquotient_character(IndexTriple(a, b, d, n))
@@ -468,6 +515,41 @@ def test_support_certificate_agrees_with_the_per_n_certificate():
             assert want == (rep.quotient_dim, True, True), idx
 
 
+def test_support_certificate_agrees_with_the_element_certificate():
+    checked = 0
+    for a in range(0, 6):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 1):
+                    count, added = _support_certificate(a, b, d, m)
+                    want = element_support_certificate(a, b, d, m)
+                    assert (count, added == count, added) == want, (a, b, d, m)
+                    checked += 1
+    assert checked == 406
+
+
+def test_verify_triple_builds_no_ext_element(monkeypatch):
+    built = []
+    original = ExtElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtElement, "__init__", counted)
+    certificates = {}
+    for n in range(1, 9):
+        for a in range(0, 6):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    assert verify_triple(IndexTriple(a, b, d, n), certificates).ok
+    assert built == []
+    assert len(certificates) == 389
+    # the counter sees the element path the certificate no longer takes
+    element_support_certificate(3, 2, 1, 4)
+    assert built
+
+
 @pytest.mark.parametrize("mutant", ["dropped", "duplicated"])
 def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(monkeypatch, mutant):
     # dropping a tableau of support m breaks spanning, duplicating one breaks
@@ -501,7 +583,6 @@ def test_verify_triple_reads_the_character_once(monkeypatch):
         return original(idx)
 
     monkeypatch.setattr(characters, "subquotient_character", counted)
-    monkeypatch.setattr(characters, "quotient_dimension", None)
     assert verify_triple(IndexTriple(3, 2, 1, 5)).ok
     assert calls == [IndexTriple(3, 2, 1, 5)]
 

@@ -17,10 +17,8 @@ from frobtab.symfunc import (
     alternating_sum_matches_distinct_rows,
     classify_triple,
     demote,
-    elementary,
     expected_character,
     h_squarefree,
-    is_symmetric,
     promotable_tableaux,
     promote,
     schur,
@@ -29,6 +27,31 @@ from frobtab.symfunc import (
     unpromotable_tableaux,
 )
 from frobtab.tableaux import Tableau, enumerate_tableaux, transpose_shape, weight
+
+
+def is_symmetric(p):
+    """Invariance under all adjacent variable swaps."""
+    for i in range(p.n - 1):
+        swapped = {}
+        for exps, c in p.items():
+            e = list(exps)
+            e[i], e[i + 1] = e[i + 1], e[i]
+            swapped[tuple(e)] = c
+        if SymPoly(swapped, p.n) != p:
+            return False
+    return True
+
+
+def elementary(d, n):
+    """Elementary symmetric polynomial e_d via the one-variable-at-a-time recurrence."""
+    if d < 0:
+        return SymPoly.zero(n)
+    dp = [SymPoly.one(n)] + [SymPoly.zero(n)] * d
+    for k in range(1, n + 1):
+        tk = SymPoly.variable(k, n)
+        for j in range(min(d, k), 0, -1):
+            dp[j] = dp[j] + tk * dp[j - 1]
+    return dp[d]
 
 
 def small_polys(n=3):

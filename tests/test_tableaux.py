@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from frobtab.tableaux import (
     Tableau,
-    count_column_strict,
     enumerate_column_strict,
     enumerate_tableaux,
     format_tableau,
@@ -20,6 +19,10 @@ from frobtab.tableaux import (
     transpose_tableau,
     weight,
 )
+
+
+def count_column_strict(partition, n):
+    return sum(1 for _ in enumerate_column_strict(partition, n))
 
 
 def test_tableau_validation():
