@@ -12,7 +12,8 @@ basis of the squarefree ring:
   (independent modulo the higher power, and spanning the lower one), once
   per compressed support: the basis tableaux whose letters are exactly
   1..m stand for those on every m-letter subset of 1..n.  Each standard
-  monomial's row is built from the tableau's rows, with no ``ExtElement``.
+  monomial's row is built from the tableau's raw rows, with no ``Tableau``
+  and no ``ExtElement``.
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -20,9 +21,10 @@ bidegree (a, b) depends only on (d, a, b, i, j): neither on n nor on where
 the entries 2 and 1 sit.  One echelon basis per such orbit is built on the
 (i+j)-letter alphabet and cached under that key, so the cache holds at most
 one block per (d, a, b, i, j) and never depends on n; every weight space of
-every n is relabelled onto it.  Each block comes from the blocks one power
-below by the product rule (d-th power) = (minor ideal) * (d-1-st power),
-which holds weight space by weight space.  ``ideal_power_span`` keeps the
+every n is relabelled onto it.  Each block is built by peeling the last
+letter L of its weight: L sits either in the monomial, as x_L, y_L or
+x_L*y_L times a block of the same power, or in one of the i + j - 1 minors
+on L, times a block one power below.  ``ideal_power_span`` keeps the
 brute-force spanning set over a whole bidegree, for reference.
 """
 
@@ -36,7 +38,13 @@ from typing import Iterable
 
 from .gf2_exterior import ExtElement, _times_minor, minor, monomial
 from .linalg_gf2 import EchelonBasis
-from .standard_monomials import IndexTriple, _monomial_terms, case_tag, exact_support_basis, rectify
+from .standard_monomials import (
+    IndexTriple,
+    _exact_support_rows,
+    _monomial_terms,
+    _rectify_rows,
+    case_tag,
+)
 from .symfunc import OrbitCharacter, SymPoly, _orbits, expected_character, h_squarefree, schur
 from .tableaux import transpose_shape
 
@@ -89,9 +97,13 @@ def _orbit_columns(j: int, k: int) -> dict[int, int]:
     """Column index of a weight space with j letters of weight 1, k of them in x.
 
     A monomial of the weight space is fixed by which weight-1 letters carry
-    x; the key is that choice as a j-bit mask, packed in letter order.
+    x; the key is that choice as a j-bit mask, packed in letter order.  The
+    columns follow the masks' values, so the masks without the last letter
+    come first, in the columns of (j - 1, k), and those with it follow in
+    the order of (j - 1, k - 1).
     """
-    return {sum(1 << p for p in ps): c for c, ps in enumerate(combinations(range(j), k))}
+    masks = sorted(sum(1 << p for p in ps) for ps in combinations(range(j), k))
+    return {m: c for c, m in enumerate(masks)}
 
 
 def _compress(v: int, mask: int) -> int:
@@ -118,35 +130,55 @@ def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
     """Echelon basis of the d-th ideal power in the weight space 2^i 1^j of
     bidegree (a, b), on the letters 0..i+j-1 (0..i-1 of weight 2).
 
-    The 0-th power is the whole weight space.  Above it, the d-th power is
-    the minor ideal times the (d-1)-st, weight space by weight space: the sum
-    over letter pairs p < q of the minor on p, q times the (d-1)-st power at
-    the weight left after one more use of p and of q.  That smaller weight is
+    The 0-th power is the whole weight space.  Above it, every spanning
+    product (d minors times a monomial) uses the last letter L, which peels
+    off.  Either L sits only in the monomial, and the product is x_L or y_L
+    (L of weight 1) or x_L*y_L (L of weight 2) times the d-th power at the
+    weight without L, of bidegree (a-1, b), (a, b-1) or (a-1, b-1); or L
+    sits in a minor on some p < L, and the product is that minor times the
+    (d-1)-st power at the weight left after one more use of p and of L.  So
+    the block is the monomial shifts of at most two same-power blocks plus
+    i + j - 1 minors times blocks one power below.  Each smaller weight is
     another orbit, whose block is relabelled onto the letters left (those of
-    weight 2 first, each kind in order).  The cache holds at most one block
-    per (d, a, b, i, j) and never depends on n.
+    weight 2 first, each kind in order).  Blocks with a < b arise through
+    x_L.  The cache holds at most one block per (d, a, b, i, j) and never
+    depends on n.
     """
     if d > min(a, b) or not 0 <= a - i <= j:
         return EchelonBasis()
     cols = _orbit_columns(j, a - i)
     if d == 0:
         return EchelonBasis(1 << c for c in range(len(cols)))
-    block = EchelonBasis()
-    for p, q in combinations(range(i + j), 2):
-        bp, bq = 1 << p, 1 << q
-        r2, r1 = _take(bq, *_take(bp, (1 << i) - 1, ((1 << j) - 1) << i))
+    w2, w1 = (1 << i) - 1, ((1 << j) - 1) << i
+    last = 1 << (i + j - 1)
+    if j:
+        # in the order of _orbit_columns, y_L keeps the columns of the block
+        # below and x_L moves them past the C(j - 1, a - i) columns without
+        # x_L, so the two shifts stay in echelon form.  The minors on L span
+        # the block without them (x_L*m_pq = x_q*m_pL + x_p*m_qL), but these
+        # free pivots made building every block with a <= 8 about a fifth faster
+        shift = comb(j - 1, a - i)
+        block = _orbit_block(d, a, b - 1, i, j - 1).copy()
+        for row in _orbit_block(d, a - 1, b, i, j - 1).rows:
+            block.add(row << shift)
+    else:  # one column, which x_L*y_L keeps
+        block = _orbit_block(d, a - 1, b - 1, i - 1, 0).copy()
+    for p in range(i + j - 1):
+        if block.rank == len(cols):
+            break
+        bp = 1 << p
+        r2, r1 = _take(last, *_take(bp, w2, w1))
         below = _orbit_block(d - 1, a - 1, b - 1, r2.bit_count(), r1.bit_count())
         if not below.rank:
             continue
-        # images[c]: the minor times the monomial of column c of the block
-        # below, whose x letters of weight 1 are the c-th choice in the order
-        # of _orbit_columns
+        # images[c]: the minor on p and L times the monomial of column c of
+        # the block below, whose x letters of weight 1 are the c-th choice in
+        # the order of _orbit_columns
         ones = [1 << t for t in range(i + j) if r1 >> t & 1]
         images = []
-        for xs in combinations(ones, a - 1 - r2.bit_count()):
-            sx = sum(xs)
+        for xs in sorted(map(sum, combinations(ones, a - 1 - r2.bit_count()))):
             v = 0
-            for xm, _ in _times_minor(((r2 | sx, r2 | r1 ^ sx),), bp, bq):
+            for xm, _ in _times_minor(((r2 | xs, r2 | r1 ^ xs),), bp, last):
                 v |= 1 << cols[xm >> i]
             images.append(v)
         for row in below.rows:
@@ -219,25 +251,25 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     is built on the rectified tableau relabelled as in ``_orbit_block``
     (letters used twice first, each kind in order).
     """
-    tabs = exact_support_basis(a, b, d, m)
-    if not tabs:
+    rows = _exact_support_rows(a, b, d, m)
+    if not rows:
         return 0, 0
-    idx = IndexTriple(a, b, d, max(m, 1))
     i = a + b - m
     cols = _orbit_columns(m - i, a - i)
     above = _orbit_block(d + 1, a, b, i, m - i)
-    joint: dict[frozenset[int], EchelonBasis] = {}
+    # per set of letters used twice: the relabelling and the joint basis
+    joint: dict[frozenset[int], tuple[dict[int, int], EchelonBasis]] = {}
     added = 0
-    for t in tabs:
-        twice = frozenset(t.row1).intersection(t.row2)  # rectify keeps the entries
-        order = sorted(range(1, m + 1), key=lambda v: v not in twice)
-        label = dict(zip(order, range(1, m + 1)))
-        r = rectify(t, idx)
-        terms = _monomial_terms(tuple(map(label.get, r.row1)), tuple(map(label.get, r.row2)), a)
+    for row1, row2 in rows:
+        twice = frozenset(row1).intersection(row2)  # rectifying keeps the entries
         if twice not in joint:
-            joint[twice] = above.copy()
-        added += joint[twice].add(sum(1 << cols[xm >> i] for xm, _ in terms))
-    return len(tabs), added
+            order = sorted(range(1, m + 1), key=lambda v: v not in twice)
+            joint[twice] = dict(zip(order, range(1, m + 1))), above.copy()
+        label, basis = joint[twice]
+        row1, row2 = _rectify_rows(row1, row2, a, b, d)
+        terms = _monomial_terms(tuple(map(label.get, row1)), tuple(map(label.get, row2)), a)
+        added += basis.add(sum(1 << cols[xm >> i] for xm, _ in terms))
+    return len(rows), added
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,19 @@ def _times_minor(
     """
     out: set[tuple[int, int]] = set()
     for xm, ym in terms:
-        for bx, by in ((bi, bj), (bj, bi)):
-            if not (xm & bx or ym & by):
-                out ^= {(xm | bx, ym | by)}
+        # the two products x_i*y_j and x_j*y_i, each added mod 2
+        if not (xm & bi or ym & bj):
+            t = (xm | bi, ym | bj)
+            if t in out:
+                out.remove(t)
+            else:
+                out.add(t)
+        if not (xm & bj or ym & bi):
+            t = (xm | bj, ym | bi)
+            if t in out:
+                out.remove(t)
+            else:
+                out.add(t)
     return out
 
 

@@ -15,6 +15,9 @@ For an index triple (a, b, d) the basis of the ideal-power subquotient in
 bidegree (a, b) is indexed by cap-2 semistandard tableaux through a
 case-split rectification map that turns them into classical semistandard
 tableaux by swapping maximal blocks of identical columns.
+``_rectify_rows`` and ``_exact_support_rows`` do that work on raw row
+pairs; ``rectify`` and ``exact_support_basis`` wrap them in ``Tableau``s,
+and the basis certificate reads the rows as they are.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import eq, le
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
-from .tableaux import Tableau, enumerate_tableaux, is_2ssyt, rows_are_ssyt
+from .tableaux import Tableau, enumerate_tableaux, rows_are_2ssyt, rows_are_ssyt
 
 __all__ = [
     "DomainError",
@@ -97,7 +100,7 @@ def _monomial_terms(row1: tuple[int, ...], row2: tuple[int, ...], a: int) -> set
     return terms
 
 
-def _identical_blocks(row1: list[int], row2: list[int]) -> list[tuple[int, int]]:
+def _identical_blocks(row1: tuple[int, ...], row2: tuple[int, ...]) -> list[tuple[int, int]]:
     """Maximal runs [i, k] (1-based, inclusive) of columns with equal entries."""
     blocks = []
     j = 1
@@ -127,21 +130,29 @@ def rectify(t: Tableau, idx: IndexTriple) -> Tableau:
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
-    case = case_tag(idx)
-    a, d = idx.a, idx.d
-    row1, row2 = list(t.row1), list(t.row2)
-    if case == CASE_OFF_BY_ONE and t.shape == (a, a):
-        if t.row1 != t.row2 or not is_2ssyt(t):
-            raise DomainError(f"square input must be an identical-row cap-2 tableau: {t}")
-        row1 = list(t.row1) + [t.row1[-1]]
-        row2 = list(t.row1[:-1])
-    else:
-        if t.shape != idx.shape or not is_2ssyt(t):
-            raise DomainError(f"tableau {t} not cap-2 semistandard of shape {idx.shape}")
-        if case == CASE_ALL_EQUAL and t.row1 == t.row2:
-            raise DomainError(f"identical rows are excluded for a=b=d: {t}")
+    return Tableau(*_rectify_rows(t.row1, t.row2, idx.a, idx.b, idx.d), t.n)
 
-    new1, new2 = row1[:], row2[:]
+
+def _rectify_rows(
+    row1: tuple[int, ...], row2: tuple[int, ...], a: int, b: int, d: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``rectify`` on raw rows, with every check but the alphabet's."""
+    case = classify_triple(a, b, d)
+    if case == CASE_OFF_BY_ONE and (len(row1), len(row2)) == (a, a):
+        if row1 != row2 or not rows_are_2ssyt(row1, row2):
+            raise DomainError(
+                f"square input must be an identical-row cap-2 tableau: {row1} / {row2}"
+            )
+        row1, row2 = row1 + row1[-1:], row1[:-1]
+    else:
+        if (len(row1), len(row2)) != (a + b - d, d) or not rows_are_2ssyt(row1, row2):
+            raise DomainError(
+                f"rows {row1} / {row2} not cap-2 semistandard of shape {(a + b - d, d)}"
+            )
+        if case == CASE_ALL_EQUAL and row1 == row2:
+            raise DomainError(f"identical rows are excluded for a=b=d: {row1} / {row2}")
+
+    new1, new2 = list(row1), list(row2)
     square = case == CASE_ALL_EQUAL
     for i, k in _identical_blocks(row1, row2):
         if square and k == len(row1):
@@ -156,7 +167,7 @@ def rectify(t: Tableau, idx: IndexTriple) -> Tableau:
                 new1[j - 1] = row2[j - 2]
             for j in range(i, k + 1):
                 new2[j - 1] = row1[j]
-    return Tableau(tuple(new1), tuple(new2), t.n)
+    return tuple(new1), tuple(new2)
 
 
 def two_standard_monomial(t: Tableau, idx: IndexTriple) -> ExtElement:
@@ -186,14 +197,22 @@ def exact_support_basis(a: int, b: int, d: int, m: int) -> list[Tableau]:
 
     Every rule that reads a basis tableau only compares its entries, so the
     basis at any n is the union, over the m-letter subsets of 1..n, of these
-    tableaux moved onto each subset in order.  They are built directly: row 2
-    holds every letter that row 1 misses, plus len2 - (m - len1) letters of
-    row 1.  The cases follow ``basis_index_set``: a = b = d drops identical
-    rows, and a - 1 = b - 1 = d adds the square (1..a / 1..a) when m = a.
+    tableaux moved onto each subset in order.
+    """
+    return [Tableau(row1, row2, max(m, 1)) for row1, row2 in _exact_support_rows(a, b, d, m)]
+
+
+def _exact_support_rows(
+    a: int, b: int, d: int, m: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (row1, row2) pairs of ``exact_support_basis``, built directly:
+    row 2 holds every letter that row 1 misses, plus len2 - (m - len1)
+    letters of row 1.  The cases follow ``basis_index_set``: a = b = d drops
+    identical rows, and a - 1 = b - 1 = d adds the square (1..a / 1..a) when
+    m = a.
     """
     case = classify_triple(a, b, d)
     len1, len2 = a + b - d, d
-    n = max(m, 1)
     shared = len2 - (m - len1)
     out = []
     if shared >= 0:
@@ -203,9 +222,9 @@ def exact_support_basis(a: int, b: int, d: int, m: int) -> list[Tableau]:
             for extra in combinations(row1, shared):
                 row2 = tuple(sorted(missing.union(extra)))
                 if all(map(le, row1, row2)) and not (case == CASE_ALL_EQUAL and row1 == row2):
-                    out.append(Tableau(row1, row2, n))
+                    out.append((row1, row2))
     if case == CASE_OFF_BY_ONE and m == a:
-        out.append(Tableau(tuple(range(1, a + 1)), tuple(range(1, a + 1)), n))
+        out.append((tuple(range(1, a + 1)), tuple(range(1, a + 1))))
     return out
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "is_ssyt",
     "is_2ssyt",
     "rows_are_ssyt",
+    "rows_are_2ssyt",
     "enumerate_tableaux",
     "weight",
     "transpose_shape",
@@ -83,11 +84,19 @@ def is_ssyt(t: Tableau) -> bool:
 
 
 def is_2ssyt(t: Tableau) -> bool:
-    """Cap-2 semistandard: rows strictly increase, columns weakly increase.
-    Columns with equal entries need no further check: the value's run in
-    each row is at least 1 long, so the two runs reach the cap 2."""
-    r1, r2 = t.row1, t.row2
-    return all(map(lt, r1, r1[1:])) and all(map(lt, r2, r2[1:])) and all(map(le, r1, r2))
+    """Cap-2 semistandard: rows strictly increase, columns weakly increase."""
+    return rows_are_2ssyt(t.row1, t.row2)
+
+
+def rows_are_2ssyt(row1: Sequence[int], row2: Sequence[int]) -> bool:
+    """Cap-2 semistandard check on raw rows.  Columns with equal entries need
+    no further check: the value's run in each row is at least 1 long, so the
+    two runs reach the cap 2."""
+    return (
+        all(map(lt, row1, row1[1:]))
+        and all(map(lt, row2, row2[1:]))
+        and all(map(le, row1, row2))
+    )
 
 
 def weight(t: Tableau) -> tuple[int, ...]:

@@ -36,7 +36,9 @@ from frobtab.characters import (
 from frobtab.gf2_exterior import ExtElement, _times_minor, minor, monomial, x_var, y_var
 from frobtab.linalg_gf2 import EchelonBasis
 from frobtab.standard_monomials import (
+    DomainError,
     IndexTriple,
+    _exact_support_rows,
     basis_index_set,
     exact_support_basis,
     two_standard_monomial,
@@ -379,6 +381,28 @@ def test_orbit_blocks_span_the_spanning_products():
     assert checked == 392
 
 
+def test_orbit_blocks_mirror_under_swapping_x_and_y():
+    # swapping x and y fixes every minor, so the (b, a) block is the (a, b)
+    # block with each column's x letters complemented; the peel reaches
+    # blocks with a < b through x_L, so both orders are built
+    checked = 0
+    for a in range(0, 7):
+        for b in range(0, 7):
+            for i in range(0, min(a, b) + 1):
+                j = a + b - 2 * i
+                full = (1 << j) - 1
+                mirror = _orbit_columns(j, b - i)
+                to_mirror = {c: mirror[xm ^ full] for xm, c in _orbit_columns(j, a - i).items()}
+                for d in range(0, min(a, b) + 2):
+                    block, swapped = _orbit_block(d, a, b, i, j), _orbit_block(d, b, a, i, j)
+                    assert block.rank == swapped.rank, (d, a, b, i, j)
+                    for row in block.rows:
+                        cs = [c for c in range(row.bit_length()) if row >> c & 1]
+                        assert swapped.contains(sum(1 << to_mirror[c] for c in cs)), (d, a, b, i, j)
+                    checked += 1
+    assert checked == 672
+
+
 def test_dimensions_and_characters_match_brute_force(brute_ranks):
     for a, b, n in GRID:
         for d in range(0, b + 1):
@@ -528,6 +552,23 @@ def test_support_certificate_agrees_with_the_element_certificate():
     assert checked == 406
 
 
+@pytest.mark.parametrize("key", [(3, 2, 1, 4), (3, 3, 2, 3), (4, 4, 4, 6)])
+def test_a_support_row_pair_that_is_not_cap_2_fails_rectification(monkeypatch, key):
+    # the certificate rectifies raw rows, and the checks of rectify still run:
+    # the last pair gets its first two entries of row 1 swapped
+    rows = _exact_support_rows(*key)
+    assert rows and _support_certificate(*key)[0] == len(rows)
+
+    def swapped(*args):
+        out = _exact_support_rows(*args)
+        r1, r2 = out[-1]
+        return out[:-1] + [((r1[1], r1[0], *r1[2:]), r2)]
+
+    monkeypatch.setattr(characters, "_exact_support_rows", swapped)
+    with pytest.raises(DomainError):
+        _support_certificate(*key)
+
+
 def test_verify_triple_builds_no_ext_element(monkeypatch):
     built = []
     original = ExtElement.__init__
@@ -554,15 +595,15 @@ def test_verify_triple_builds_no_ext_element(monkeypatch):
 def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(monkeypatch, mutant):
     # dropping a tableau of support m breaks spanning, duplicating one breaks
     # independence, at every n >= m and at no smaller n
-    original = exact_support_basis
+    original = _exact_support_rows
     for a, b, d, m in [(1, 1, 0, 1), (3, 2, 1, 4), (3, 3, 3, 4), (4, 4, 3, 4), (5, 3, 2, 7)]:
         def mutated(*key, target=(a, b, d, m)):
-            tabs = original(*key)
+            rows = original(*key)
             if key != target:
-                return tabs
-            return tabs[1:] if mutant == "dropped" else tabs + tabs[:1]
+                return rows
+            return rows[1:] if mutant == "dropped" else rows + rows[:1]
 
-        monkeypatch.setattr(characters, "exact_support_basis", mutated)
+        monkeypatch.setattr(characters, "_exact_support_rows", mutated)
         assert original(a, b, d, m), (a, b, d, m)
         for n in list(range(1, 10)) + [32]:
             rep = verify_triple(IndexTriple(a, b, d, n))
