@@ -11,7 +11,9 @@ basis of the squarefree ring:
 * certification that the proposed straight-tableau basis really is one
   (independent modulo the higher power, and spanning the lower one), once
   per compressed support: the basis tableaux whose letters are exactly
-  1..m stand for those on every m-letter subset of 1..n.  Each standard
+  1..m stand for those on every m-letter subset of 1..n, at every n.  The
+  certificate is cached under (a, b, d, m), with m <= a + b, so the cache
+  never depends on n and every caller shares it.  Each standard
   monomial's row is built from the tableau's raw rows, with no ``Tableau``
   and no ``ExtElement``.
 
@@ -240,6 +242,7 @@ def in_ideal_power(e: ExtElement, d: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     """(count, added) of the basis tableaux of (a, b, d) whose letters are
     exactly 1..m: how many there are, and how many of their standard
@@ -300,10 +303,7 @@ class CharacterReport:
         )
 
 
-def verify_triple(
-    idx: IndexTriple,
-    certificates: dict[tuple[int, int, int, int], tuple[int, int]] | None = None,
-) -> CharacterReport:
+def verify_triple(idx: IndexTriple) -> CharacterReport:
     """Compare the computed subquotient character with the case formula and
     certify the straight-tableau basis by rank computations.
 
@@ -312,31 +312,20 @@ def verify_triple(
     moved onto 1..m.  The basis at n is the union over m-letter supports,
     C(n, m) of each: it is independent when each support's part is, and it
     spans when the rank it adds, summed with those weights, is the
-    dimension.  ``certificates`` maps (a, b, d, m) to the (count, added)
-    pair of ``_support_certificate``; a caller that verifies many triples
-    passes one dict to every call, and the certificates missing from it are
-    added.
+    dimension.  ``_support_certificate`` caches the (count, added) pair of
+    each (a, b, d, m), so each support is certified once, for every n and
+    every caller.
     """
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
     computed = subquotient_character(idx)
     expected = expected_character(a, b, d, n)
-    diff = computed - expected
-    # one weight per differing orbit: an orbit at n = 32 can hold 10^8 weights;
-    # a SymPoly on either side gives a SymPoly, listed weight by weight
-    if isinstance(diff, OrbitCharacter):
-        mismatched = tuple(diff.orbit_representatives())
-    else:
-        mismatched = tuple(w for w, _ in diff.items())
+    # one weight per differing orbit: an orbit at n = 32 can hold 10^8 weights
+    mismatched = tuple((computed - expected).orbit_representatives())
 
-    if certificates is None:
-        certificates = {}
     basis_count = rank_added = 0
     independent = True
     for m in range(min(n, a + b) + 1):
-        cert = certificates.get((a, b, d, m))
-        if cert is None:
-            cert = certificates[(a, b, d, m)] = _support_certificate(a, b, d, m)
-        count, added = cert
+        count, added = _support_certificate(a, b, d, m)
         basis_count += comb(n, m) * count
         rank_added += comb(n, m) * added
         independent = independent and added == count

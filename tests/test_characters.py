@@ -531,10 +531,13 @@ def test_support_certificate_agrees_with_the_per_n_certificate():
         for d in range(0, b + 1)
     ]
     assert len(triples) == 8 + 440
-    certificates = {}
-    for idx in triples:
+    # warm: each triple reuses the certificates of the triples before it
+    _support_certificate.cache_clear()
+    warm = [verify_triple(idx) for idx in triples]
+    for idx, warm_rep in zip(triples, warm):
         want = per_n_certificate(idx)
-        for rep in (verify_triple(idx), verify_triple(idx, certificates)):
+        _support_certificate.cache_clear()
+        for rep in (verify_triple(idx), warm_rep):
             assert (rep.basis_count, rep.independent, rep.spanning) == want, idx
             assert want == (rep.quotient_dim, True, True), idx
 
@@ -552,8 +555,23 @@ def test_support_certificate_agrees_with_the_element_certificate():
     assert checked == 406
 
 
+@pytest.fixture
+def patch_support_rows(monkeypatch):
+    """Sets ``characters._exact_support_rows`` and clears the certificate
+    cache, before the patched rows are read and again after the test, so a
+    certificate of other rows is never read under the patch, nor one of
+    patched rows outside it."""
+
+    def patch(rows):
+        monkeypatch.setattr(characters, "_exact_support_rows", rows)
+        _support_certificate.cache_clear()
+
+    yield patch
+    _support_certificate.cache_clear()
+
+
 @pytest.mark.parametrize("key", [(3, 2, 1, 4), (3, 3, 2, 3), (4, 4, 4, 6)])
-def test_a_support_row_pair_that_is_not_cap_2_fails_rectification(monkeypatch, key):
+def test_a_support_row_pair_that_is_not_cap_2_fails_rectification(patch_support_rows, key):
     # the certificate rectifies raw rows, and the checks of rectify still run:
     # the last pair gets its first two entries of row 1 swapped
     rows = _exact_support_rows(*key)
@@ -564,7 +582,7 @@ def test_a_support_row_pair_that_is_not_cap_2_fails_rectification(monkeypatch, k
         r1, r2 = out[-1]
         return out[:-1] + [((r1[1], r1[0], *r1[2:]), r2)]
 
-    monkeypatch.setattr(characters, "_exact_support_rows", swapped)
+    patch_support_rows(swapped)
     with pytest.raises(DomainError):
         _support_certificate(*key)
 
@@ -578,21 +596,23 @@ def test_verify_triple_builds_no_ext_element(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(ExtElement, "__init__", counted)
-    certificates = {}
+    _support_certificate.cache_clear()
     for n in range(1, 9):
         for a in range(0, 6):
             for b in range(0, a + 1):
                 for d in range(0, b + 1):
-                    assert verify_triple(IndexTriple(a, b, d, n), certificates).ok
+                    assert verify_triple(IndexTriple(a, b, d, n)).ok
     assert built == []
-    assert len(certificates) == 389
+    assert _support_certificate.cache_info().currsize == 389
     # the counter sees the element path the certificate no longer takes
     element_support_certificate(3, 2, 1, 4)
     assert built
 
 
 @pytest.mark.parametrize("mutant", ["dropped", "duplicated"])
-def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(monkeypatch, mutant):
+def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(
+    patch_support_rows, mutant
+):
     # dropping a tableau of support m breaks spanning, duplicating one breaks
     # independence, at every n >= m and at no smaller n
     original = _exact_support_rows
@@ -603,7 +623,7 @@ def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(monkey
                 return rows
             return rows[1:] if mutant == "dropped" else rows + rows[:1]
 
-        monkeypatch.setattr(characters, "_exact_support_rows", mutated)
+        patch_support_rows(mutated)
         assert original(a, b, d, m), (a, b, d, m)
         for n in list(range(1, 10)) + [32]:
             rep = verify_triple(IndexTriple(a, b, d, n))
@@ -640,8 +660,11 @@ def test_mismatched_weights_list_one_weight_per_flipped_orbit(monkeypatch):
     assert rep.mismatched_weights == ((1,) * 12 + (0,) * 20, (2,) * 6 + (0,) * 26)
 
 
-def test_the_caches_of_characters_are_the_orbit_and_span_caches():
-    # certificates are shared only through the dict a caller passes, so
-    # every verify_triple call does its own certificate work
+def test_the_caches_of_characters_are_the_orbit_span_and_certificate_caches():
     cached = {name for name, value in vars(characters).items() if hasattr(value, "cache_info")}
-    assert cached == {"_ideal_span_cached", "_orbit_columns", "_orbit_block"}
+    assert cached == {
+        "_ideal_span_cached",
+        "_orbit_columns",
+        "_orbit_block",
+        "_support_certificate",
+    }
