@@ -2,32 +2,30 @@
 
 For an index triple (a, b, d) the object of study is the bidegree-(a, b)
 piece of the subquotient (d-th power of the minor ideal) / (d+1-st power).
-Everything here is computed by exact GF(2) linear algebra over the monomial
-basis of the squarefree ring:
+It is computed by exact GF(2) linear algebra over the monomial basis of the
+squarefree ring:
 
 * ranks of each ideal power in each weight space,
 * diagonal-torus characters of the subquotients, one coefficient per
   weight orbit (an ``OrbitCharacter``),
 * certification that the proposed straight-tableau basis really is one
   (independent modulo the higher power, and spanning the lower one), once
-  per compressed support: the basis tableaux whose letters are exactly
-  1..m stand for those on every m-letter subset of 1..n, at every n.  The
-  certificate is cached under (a, b, d, m), with m <= a + b, so the cache
-  never depends on n and every caller shares it.  Each standard
-  monomial's row is built from the tableau's raw rows, with no ``Tableau``
-  and no ``ExtElement``.
+  per compressed support: the basis tableaux on exactly 1..m stand for
+  those on every m-letter subset of 1..n, at every n.  The certificate is
+  cached under (a, b, d, m), with m <= a + b, so every caller shares it.
+  Each standard monomial's row is built from the tableau's raw rows.
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
-bidegree (a, b) depends only on (d, a, b, i, j): neither on n nor on where
-the entries 2 and 1 sit.  One echelon basis per such orbit is built on the
-(i+j)-letter alphabet and cached under that key, so the cache holds at most
-one block per (d, a, b, i, j) and never depends on n; every weight space of
-every n is relabelled onto it.  Each block is built by peeling the last
-letter L of its weight: L sits either in the monomial, as x_L, y_L or
-x_L*y_L times a block of the same power, or in one of the i + j - 1 minors
-on L, times a block one power below.  ``ideal_power_span`` keeps the
-brute-force spanning set over a whole bidegree, for reference.
+bidegree (a, b) depends only on (d, a, b, i, j).  One echelon basis per such
+orbit is built on the (i+j)-letter alphabet and cached under that key; every
+weight space of every n is relabelled onto it.  Each block is built by
+peeling the last letter L of its weight: L sits either in the monomial, as
+x_L, y_L or x_L*y_L times a block of the same power, or in one of the
+i + j - 1 minors on L, times a block one power below.  ``ideal_power_span``
+keeps the brute-force spanning set over a whole bidegree, for reference.
+The two identity checks only count, orbit by orbit: formula coefficients
+(telescoping) and cap-2 tableaux on exactly 1..m (Pieri).
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ from .standard_monomials import (
     _rectify_rows,
     case_tag,
 )
-from .symfunc import OrbitCharacter, SymPoly, _orbits, expected_character, h_squarefree, schur
-from .tableaux import transpose_shape
+from .symfunc import OrbitCharacter, _orbits, expected_character
 
 __all__ = [
     "CharacterReport",
@@ -349,23 +346,26 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
 
 
 def telescoping_check(a: int, b: int, n: int) -> bool:
-    """Sum of all subquotient characters equals the character of the full
-    bidegree-(a, b) piece of the squarefree ring, whose weight space
-    2^i 1^j holds C(j, a - i) monomials."""
-    total = OrbitCharacter.zero(n)
-    for d in range(0, b + 1):
-        total = total + subquotient_character(IndexTriple(a, b, d, n))
+    """The case formulas summed over d = 0..b give the full bidegree-(a, b)
+    piece, with C(j, a - i) monomials at each weight 2^i 1^j.  The
+    subquotients telescope to it by construction, and ``verify_triple``
+    equates each with its formula, so only the formula tables are summed."""
+    IndexTriple(a, b, 0, n)  # the domain of every triple: a >= b >= 0, 1 <= n <= MAX_N
+    total = sum((expected_character(a, b, d, n) for d in range(b + 1)), OrbitCharacter.zero(n))
     return total == OrbitCharacter({(i, j): comb(j, a - i) for i, j in _orbits(a, b, n)}, n)
 
 
 def pieri_filtration_check(a: int, b: int, n: int) -> bool:
     """Product of two squarefree complete pieces decomposes over the
-    transposed two-row shapes (a+i, b-i)."""
+    transposed two-row shapes (a+k, b-k).  Their column-strict fillings are
+    the cap-2 tableaux of (a+k, b-k), listed on exactly 1..m by the generic
+    triple (a+k, b-k, b-k); at the orbit (i, j), m = i + j, these spread
+    evenly over the C(m, i) weights on 1..m, each with C(j, a - i) in h_a h_b."""
     if a <= b:
         raise ValueError(f"requires a > b, got a={a}, b={b}")
-    # no coefficient at a weight 2^i 1^j depends on n, and i + j <= a + b
-    n = min(n, a + b)
-    total = SymPoly.zero(n)
-    for i in range(0, b + 1):
-        total = total + schur(transpose_shape((a + i, b - i)), n)
-    return total == h_squarefree(a, n) * h_squarefree(b, n)
+    IndexTriple(a, b, 0, n)  # the domain of every triple: b >= 0, 1 <= n <= MAX_N
+    return all(
+        sum(len(_exact_support_rows(a + k, b - k, b - k, i + j)) for k in range(b + 1))
+        == comb(j, a - i) * comb(i + j, i)
+        for i, j in _orbits(a, b, n)
+    )

@@ -45,6 +45,7 @@ from frobtab.standard_monomials import (
 )
 from frobtab.symfunc import OrbitCharacter, SymPoly, expected_character, h_squarefree, schur
 from frobtab.tableaux import transpose_shape
+from test_symfunc import jacobi_trudi_character
 
 # (a, b, n) of the differential grid: a <= 6, n <= 6
 GRID = [(a, b, n) for n in range(1, 7) for a in range(0, 7) for b in range(0, a + 1)]
@@ -315,22 +316,23 @@ def test_pieri_small_grid():
 
 
 def _telescoping_at_every_letter(a, b, n):
-    """``telescoping_check`` with the full piece as a ``SymPoly`` product on n letters."""
-    total = OrbitCharacter.zero(n)
+    """``telescoping_check`` at every weight: the case formulas expanded by
+    Jacobi-Trudi products and summed over d, against h_a * h_b."""
+    total = SymPoly.zero(n)
     for d in range(0, b + 1):
-        total = total + subquotient_character(IndexTriple(a, b, d, n))
+        total = total + jacobi_trudi_character(a, b, d, n)
     return total == h_squarefree(a, n) * h_squarefree(b, n)
 
 
 def _pieri_at_every_letter(a, b, n):
-    """``pieri_filtration_check`` without its clamp to a + b letters."""
+    """``pieri_filtration_check`` with Schur polynomials expanded at every weight."""
     total = SymPoly.zero(n)
     for i in range(0, b + 1):
         total = total + schur(transpose_shape((a + i, b - i)), n)
     return total == h_squarefree(a, n) * h_squarefree(b, n)
 
 
-def test_checks_on_a_plus_b_letters_agree_with_the_unclamped_checks():
+def test_checks_agree_with_the_every_weight_references():
     for n in range(1, 9):
         for a in range(0, 5):
             for b in range(0, a + 1):
@@ -342,11 +344,60 @@ def test_checks_on_a_plus_b_letters_agree_with_the_unclamped_checks():
 
 
 def test_checks_hold_at_32_letters():
-    for a in range(0, 6):
+    for a in range(0, 9):
         for b in range(0, a + 1):
             assert telescoping_check(a, b, 32), (a, b)
             if a > b:
                 assert pieri_filtration_check(a, b, 32), (a, b)
+
+
+@pytest.mark.parametrize("n", [0, 33])
+def test_checks_reject_an_alphabet_outside_1_to_max_n(n):
+    with pytest.raises(DomainError):
+        telescoping_check(3, 1, n)
+    with pytest.raises(DomainError):
+        pieri_filtration_check(3, 1, n)
+
+
+@pytest.mark.parametrize("flipped_d", [0, 1, 2])
+def test_a_flipped_formula_coefficient_fails_telescoping(monkeypatch, flipped_d):
+    real = characters.expected_character
+
+    def flipped(a, b, d, n):
+        out = real(a, b, d, n)
+        if d != flipped_d:
+            return out
+        w = out.orbit_representatives()[0]
+        return out - OrbitCharacter({(w.count(2), w.count(1)): 2 * out.coeff(w)}, n)
+
+    assert telescoping_check(3, 2, 5)
+    monkeypatch.setattr(characters, "expected_character", flipped)
+    assert not telescoping_check(3, 2, 5)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_dropped_cap_2_tableau_fails_pieri(monkeypatch, k):
+    # the shape (3 + k, 1 - k) on exactly the letters 1..4 loses its first tableau
+    real = characters._exact_support_rows
+
+    def dropped(a, b, d, m):
+        rows = real(a, b, d, m)
+        return rows[1:] if (a, b, d, m) == (3 + k, 1 - k, 1 - k, 4) else rows
+
+    assert real(3 + k, 1 - k, 1 - k, 4) and pieri_filtration_check(3, 1, 4)
+    monkeypatch.setattr(characters, "_exact_support_rows", dropped)
+    assert not pieri_filtration_check(3, 1, 4)
+
+
+def test_checks_build_no_orbit_block_and_no_sympoly(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a SymPoly was built")
+
+    _orbit_block.cache_clear()
+    monkeypatch.setattr(SymPoly, "__init__", refuse)
+    assert telescoping_check(7, 7, 32)
+    assert pieri_filtration_check(7, 6, 32)
+    assert _orbit_block.cache_info().currsize == 0
 
 
 def test_pieri_requires_strict_inequality():
