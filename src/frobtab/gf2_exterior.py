@@ -87,17 +87,18 @@ class ExtElement:
     (distributed monomial products, accumulated mod 2).
     """
 
-    __slots__ = ("_terms", "n", "_hash")
+    __slots__ = ("_terms", "n")
 
     def __init__(self, terms: Iterable[tuple[int, int]], n: int):
         _check_n(n)
-        self._terms = frozenset(terms)
+        self._terms = terms = frozenset(terms)
         self.n = n
-        full = (1 << n) - 1
-        for xm, ym in self._terms:
-            if xm & ~full or ym & ~full:
-                raise ValueError(f"term mask out of range for n={n}")
-        self._hash = hash((self._terms, n))
+        used = 0
+        for xm, ym in terms:
+            used |= xm | ym
+        # a bit at n or above, or a negative mask, leaves bits after the shift
+        if used >> n:
+            raise ValueError(f"term mask out of range for n={n}")
 
     @classmethod
     def zero(cls, n: int) -> "ExtElement":
@@ -146,7 +147,7 @@ class ExtElement:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._terms, self.n))
 
     def __str__(self) -> str:
         if not self._terms:

@@ -10,6 +10,9 @@ element
 ``_monomial_terms`` builds it on (xmask, ymask) term sets: the two tail
 masks, times one column minor after another.  ``standard_monomial`` wraps
 the set in an ``ExtElement``; the basis certificate reads it as it is.
+``_tail_masks`` is the one test for rows that cancel on their entries alone
+(it returns None for them); the term builder, the straightness test and both
+straightening loops all use it.
 
 For an index triple (a, b, d) the basis of the ideal-power subquotient in
 bidegree (a, b) is indexed by cap-2 semistandard tableaux through a
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import eq, le
+from operator import le
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
@@ -79,25 +82,70 @@ def standard_monomial(t: Tableau, a: int) -> ExtElement:
     """The element encoded by a tableau with split point ``a``.
 
     Returns the zero element when the algebra cancels (degenerate column,
-    repeated minor, repeated tail variable); it never raises for that.
+    repeated minor, a letter used three times, repeated tail variable); it
+    never raises for that.
     """
+    _check_split_point(t, a)
+    return ExtElement(_monomial_terms(t.row1, t.row2, a), t.n)
+
+
+def _check_split_point(t: Tableau, a: int) -> None:
+    """Raise ``DomainError`` unless ``a`` lies in the columns d..r1 of ``t``."""
     r1, d = t.shape
     if not d <= a <= r1:
         raise DomainError(f"split point a={a} outside columns {d}..{r1} of shape {t.shape}")
-    return ExtElement(_monomial_terms(t.row1, t.row2, a), t.n)
 
 
 def _monomial_terms(row1: tuple[int, ...], row2: tuple[int, ...], a: int) -> set[tuple[int, int]]:
     """Term set of ``standard_monomial`` on raw rows, unchecked; empty when it cancels."""
-    d = len(row2)
-    xm = sum({1 << (v - 1) for v in row1[d:a]})
-    ym = sum({1 << (v - 1) for v in row1[a:]})
-    if xm.bit_count() + ym.bit_count() < len(row1) - d:
-        return set()  # a letter repeats in a tail
-    terms = {(xm, ym)}
+    tails = _tail_masks(row1, row2, a)
+    if tails is None:
+        return set()
+    terms = {tails}
     for u, w in zip(row1, row2):
         terms = _times_minor(terms, 1 << (u - 1), 1 << (w - 1))
     return terms
+
+
+def _tail_masks(A: tuple[int, ...], B: tuple[int, ...], a: int) -> tuple[int, int] | None:
+    """The x-tail and y-tail masks (bit v-1 for the letter v) of rows read
+    with split point ``a``, or None when the rows are a syntactic zero: a
+    letter used three times, a letter repeated in the x tail ``A[d:a]`` or
+    the y tail ``A[a:]``, or a repeated column among the first ``d = len(B)``.
+
+    Each of these makes the standard monomial zero, whatever the order of the
+    entries: a letter carries at most x_v*y_v, variables square to zero, and
+    a minor squares to zero mod 2.  A degenerate column (u, u) is zero too
+    but is left to the callers, which treat it apart.
+    """
+    d = len(B)
+    # letters seen once and seen twice, and the tails, at bit v for letter v
+    once = twice = x_tail = y_tail = 0
+    for i, v in enumerate(A):
+        bit = 1 << v
+        if twice & bit:
+            return None
+        twice |= once & bit
+        once |= bit
+        if i < d:
+            continue
+        if i < a:
+            if x_tail & bit:
+                return None
+            x_tail |= bit
+        elif y_tail & bit:
+            return None
+        else:
+            y_tail |= bit
+    for v in B:
+        bit = 1 << v
+        if twice & bit:
+            return None
+        twice |= once & bit
+        once |= bit
+    if len(set(zip(A, B))) < d:
+        return None
+    return x_tail >> 1, y_tail >> 1
 
 
 def _identical_blocks(row1: tuple[int, ...], row2: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -228,14 +276,6 @@ def _exact_support_rows(
     return out
 
 
-def _multiplicity_ok(A: tuple[int, ...], B: tuple[int, ...], d: int) -> bool:
-    """No value three times and no repeated column among the first ``d``."""
-    s = sorted(A + B)
-    if any(map(eq, s, s[2:])):
-        return False
-    return len({(A[i], B[i]) for i in range(d)}) == d
-
-
 def is_two_straight(t: Tableau, idx: IndexTriple) -> bool:
     """Whether a classical semistandard tableau indexes a rectified basis element.
 
@@ -264,7 +304,7 @@ def rows_two_straight(
         return False
     if (a, b, d) == (1, 1, 0):
         return True
-    if not _multiplicity_ok(A, B, d):
+    if _tail_masks(A, B, a) is None:  # a syntactic zero
         return False
 
     if a == b == d:

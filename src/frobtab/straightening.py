@@ -3,7 +3,9 @@
 Two levels of rewriting live here, on one term form: a pair of rows
 ``(row1, row2)`` read with the split point ``a`` as in ``standard_monomial``
 (column minors, then x-variables up to position ``a``, then y-variables).
-Both loops share one zero test, ``_is_zero_term``.
+Both loops drop syntactic zeroes (a letter used three times, a repeated tail
+letter or a repeated column) with one bitmask test,
+``standard_monomials._tail_masks``.
 
 ``classical_straighten`` works with exact identities in the squarefree
 quotient: the three-term minor exchange, the minor-against-variable exchange,
@@ -25,7 +27,8 @@ options, so every input has exactly one output sum.  Every move is either
 an exact identity or changes the element by a member of the higher ideal
 power, so the output sum is congruent to the input; the certifying oracle
 lives in ``characters``.  Every rule only compares entries, so the loop's
-memo is keyed on rows relabelled onto the letters 1..m.
+memo is keyed on rows relabelled onto the letters 1..m, and a syntactic zero
+is dropped before the memo is read, so the memo holds only non-zero patterns.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from .gf2_exterior import ExtElement, minor, monomial
 from .standard_monomials import (
     DomainError,
     IndexTriple,
-    _multiplicity_ok,
+    _check_split_point,
+    _monomial_terms,
+    _tail_masks,
     rows_two_straight,
-    standard_monomial,
 )
 from .tableaux import Tableau, rows_are_ssyt
 
@@ -93,7 +97,8 @@ class TableauSum:
     def element_sum(self) -> ExtElement:
         terms: set[tuple[int, int]] = set()
         for t in self.terms:
-            terms ^= standard_monomial(t, self.a).term_masks
+            _check_split_point(t, self.a)
+            terms ^= _monomial_terms(t.row1, t.row2, self.a)
         return ExtElement(terms, self.n)
 
     def __str__(self) -> str:
@@ -109,12 +114,6 @@ class TableauSum:
 Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _is_zero_term(A, B, a, d) -> bool:
-    """A value three times, a repeated column, or a repeat inside the x or y tail."""
-    x, y = A[d:a], A[a:]
-    return len(set(x)) < len(x) or len(set(y)) < len(y) or not _multiplicity_ok(A, B, d)
-
-
 def _normalize(A, B, a) -> Rows | None:
     """Canonical rows of a product term (each column ordered, columns and both
     tails sorted), or None for a degenerate column or a zero term."""
@@ -127,7 +126,7 @@ def _normalize(A, B, a) -> Rows | None:
     cols.sort()
     tops, B = zip(*cols) if d else ((), ())
     A = (*tops, *sorted(A[d:a]), *sorted(A[a:]))
-    if _is_zero_term(A, B, a, d):
+    if _tail_masks(A, B, a) is None:
         return None
     return (A, B)
 
@@ -189,10 +188,8 @@ def classical_straighten(t: Tableau, a: int) -> TableauSum:
     The element value is preserved exactly: the sum of the standard monomials
     of the output equals the standard monomial of the input.
     """
-    r1, d = t.shape
-    if not d <= a <= r1:
-        raise DomainError(f"split point a={a} outside columns {d}..{r1} of shape {t.shape}")
-    if any(t.row1[i] >= t.row2[i] for i in range(d)):
+    _check_split_point(t, a)
+    if any(t.row1[i] >= t.row2[i] for i in range(len(t.row2))):
         raise DomainError(f"columns must strictly increase: {t}")
     terms, _ = _classical_terms(t.row1, t.row2, a)
     tabs = frozenset(Tableau(A, B, t.n) for A, B in terms)
@@ -277,6 +274,8 @@ def interlocked_triple(t: Tableau) -> tuple[Tableau, Tableau]:
 
 # (relabelled rows, a, b, d) -> (straight rows, step count); see ``_ts``
 _TS_CACHE: dict[tuple, tuple[frozenset[Rows], int]] = {}
+# what ``_ts_loop`` returns for a syntactic zero: no rows, after one step
+_ZERO_RESULT: tuple[frozenset[Rows], int] = (frozenset(), 1)
 
 
 def _square_junction(A, B, a) -> list[Rows] | None:
@@ -370,20 +369,27 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
     count is the most loop iterations of this call or of any classical or
     prefix sub-call; a memo hit is charged it, so whether ``ITERATION_CAP`` is
     reached depends on the input and the cap only.
+
+    The input is always semistandard, so a syntactic zero is dropped by the
+    loop's first step; it gets that result, one step and no memo entry.
     """
     A, B = rows
-    letters = sorted({*A, *B})
-    m = len(letters)
-    if m and letters[-1] != m:
-        code = dict(zip(letters, range(1, m + 1)))
-        key_rows = (tuple(map(code.__getitem__, A)), tuple(map(code.__getitem__, B)))
+    letters = None
+    if _tail_masks(A, B, a) is None:
+        hit = _ZERO_RESULT
     else:
-        letters = None
-        key_rows = rows
-    key = (key_rows, a, b, d)
-    hit = _TS_CACHE.get(key)
-    if hit is None:
-        hit = _TS_CACHE[key] = _ts_loop(rows, key_rows, a, b, d)
+        letters = sorted({*A, *B})
+        m = len(letters)
+        if m and letters[-1] != m:
+            code = dict(zip(letters, range(1, m + 1)))
+            key_rows = (tuple(map(code.__getitem__, A)), tuple(map(code.__getitem__, B)))
+        else:
+            letters = None
+            key_rows = rows
+        key = (key_rows, a, b, d)
+        hit = _TS_CACHE.get(key)
+        if hit is None:
+            hit = _TS_CACHE[key] = _ts_loop(rows, key_rows, a, b, d)
     result, steps = hit
     if steps > ITERATION_CAP:
         raise StraighteningLimitExceeded(
@@ -415,7 +421,7 @@ def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> tuple[frozenset
             steps = max(steps, sub_steps)
             queue.extend(r for r in terms if len(r[1]) == d)
             continue
-        if _is_zero_term(A, B, a, d):
+        if _tail_masks(A, B, a) is None:  # a syntactic zero
             continue
         if d < a and a < len(A) and A[a - 1] == A[a] and (d >= 1 or a - d >= 2):
             # repeated value across the x,y junction: the term lies in the
@@ -464,7 +470,8 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     Results are memoized in ``_TS_CACHE`` for the life of the process, keyed
     on the rows relabelled onto the letters 1..m in their order, so the memo
     holds one entry per letter pattern, on at most a + b letters whatever n
-    is.  Each entry keeps the step count of the work that made it and a hit is
+    is.  Syntactic zeros are dropped before the memo is read and get no
+    entry.  Each entry keeps the step count of the work that made it and a hit is
     charged that count, so whether a call reaches ``ITERATION_CAP`` (and
     raises ``StraighteningLimitExceeded``) depends only on its input and the
     cap, not on what was straightened earlier in the process.

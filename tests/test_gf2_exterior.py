@@ -149,3 +149,13 @@ def test_out_of_range_indices_raise():
         x_var(0, 3)
     with pytest.raises(ValueError):
         y_var(4, 3)
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+def test_constructor_rejects_term_masks_outside_the_alphabet(n):
+    top = (1 << n) - 1
+    assert ExtElement({(top, 0), (0, top)}, n).n == n
+    for bad in (1 << n, top | 1 << (n + 7), -1, -(1 << n)):
+        for term in ((bad, 0), (0, bad), (1, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                ExtElement({(0, 1), term}, n)

@@ -1,13 +1,15 @@
 """Standard monomials, the rectification map, and straightness."""
 
 import itertools
+from operator import eq
 
 import pytest
 
-from frobtab.gf2_exterior import ExtElement, minor, monomial, x_var, y_var
+from frobtab.gf2_exterior import ExtElement, mask_of, minor, monomial, x_var, y_var
 from frobtab.standard_monomials import (
     DomainError,
     IndexTriple,
+    _tail_masks,
     basis_index_set,
     case_tag,
     exact_support_basis,
@@ -16,7 +18,7 @@ from frobtab.standard_monomials import (
     standard_monomial,
     two_standard_monomial,
 )
-from frobtab.tableaux import Tableau, enumerate_tableaux, weight
+from frobtab.tableaux import Tableau, enumerate_tableaux, rows_are_ssyt, weight
 
 
 def test_standard_monomial_golden_string():
@@ -50,19 +52,56 @@ def product_chain(t, a):
     return out
 
 
-def test_standard_monomial_matches_the_product_chain_on_every_filling():
-    # every filling over 4 letters, ordered or not, with d <= r1 <= 4 and
-    # r1 + d <= 6, at every split point: degenerate columns, repeated
-    # minors and repeated tail letters all occur
-    n, checked = 4, 0
+def every_filling():
+    """Every filling over 4 letters, ordered or not, with d <= r1 <= 4 and
+    r1 + d <= 6, at every split point: degenerate columns, repeated minors,
+    letters used three times and repeated tail letters all occur."""
+    n = 4
     for r1 in range(0, 5):
         for d in range(0, min(r1, 6 - r1) + 1):
             for cells in itertools.product(range(1, n + 1), repeat=r1 + d):
                 t = Tableau(cells[:r1], cells[r1:], n)
                 for a in range(d, r1 + 1):
-                    assert standard_monomial(t, a) == product_chain(t, a), (t, a)
-                    checked += 1
+                    yield t, a
+
+
+def test_standard_monomial_matches_the_product_chain_on_every_filling():
+    checked = 0
+    for t, a in every_filling():
+        assert standard_monomial(t, a) == product_chain(t, a), (t, a)
+        checked += 1
     assert checked == 25_289
+
+
+def syntactic_zero_oracle(A, B, a):
+    """Repeats in the x or y tail, a value three times, or a repeated column
+    among the first d, tested with sets and a sorted list (reference)."""
+    d = len(B)
+    x, y = A[d:a], A[a:]
+    s = sorted(A + B)
+    return (
+        len(set(x)) < len(x)
+        or len(set(y)) < len(y)
+        or any(map(eq, s, s[2:]))
+        or len({(A[i], B[i]) for i in range(d)}) < d
+    )
+
+
+def test_syntactic_zero_test_matches_the_set_oracle_on_every_filling():
+    hits = semistandard_hits = 0
+    for t, a in every_filling():
+        tails = _tail_masks(t.row1, t.row2, a)
+        hit = tails is None
+        assert hit == syntactic_zero_oracle(t.row1, t.row2, a), (t, a)
+        if not hit:
+            d = t.shape[1]
+            assert tails == (mask_of(t.row1[d:a], t.n), mask_of(t.row1[a:], t.n)), (t, a)
+        else:
+            # the reference product, which has no zero test of its own
+            assert product_chain(t, a).is_zero, (t, a)
+            hits += 1
+            semistandard_hits += rows_are_ssyt(t.row1, t.row2)
+    assert (hits, semistandard_hits) == (15_972, 953)
 
 
 def test_standard_monomial_split_point_validation():

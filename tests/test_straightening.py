@@ -18,6 +18,7 @@ from frobtab.gf2_exterior import minor, monomial
 from frobtab.standard_monomials import (
     DomainError,
     IndexTriple,
+    _tail_masks,
     is_two_straight,
     standard_monomial,
 )
@@ -95,6 +96,9 @@ def test_tableau_sum_basics():
     assert len(s) == 1
     assert str(s) == str(t)
     assert str(TableauSum(frozenset(), 2, 3)) == "0"
+    # a term whose columns lie past the split point is outside the element map
+    with pytest.raises(DomainError):
+        TableauSum(frozenset([t, Tableau((1, 2), (2,), 3)]), 0, 3).element_sum()
 
 
 def test_collapse_interlocked_golden_example():
@@ -318,6 +322,9 @@ def test_straightening_memo_does_not_grow_with_the_alphabet(monkeypatch):
     for t, idx in semistandard_cases(3, 9):
         two_straighten(t, idx)
     assert len(straightening._TS_CACHE) == size
+    # syntactic zeros are dropped before the memo is read
+    for (A, B), a, _, _ in straightening._TS_CACHE:
+        assert _tail_masks(A, B, a) is not None, (A, B, a)
 
 
 def test_iteration_cap_does_not_depend_on_earlier_calls(monkeypatch):
@@ -339,7 +346,10 @@ def test_a_call_raises_exactly_when_the_cap_is_below_its_steps(monkeypatch):
     cap = straightening.ITERATION_CAP
     for t, idx in semistandard_cases(4, 5):
         monkeypatch.setattr(straightening, "_TS_CACHE", {})
-        steps = straightening._ts((t.row1, t.row2), idx.a, idx.b, idx.d)[1]
+        rows = (t.row1, t.row2)
+        steps = straightening._ts(rows, idx.a, idx.b, idx.d)[1]
+        # syntactic zeros skip the loop and must be charged what it counts
+        assert steps == straightening._ts_loop(rows, rows, idx.a, idx.b, idx.d)[1], (t, idx)
         for memo in ({}, straightening._TS_CACHE):
             monkeypatch.setattr(straightening, "_TS_CACHE", memo)
             monkeypatch.setattr(straightening, "ITERATION_CAP", steps - 1)
