@@ -17,12 +17,45 @@ squarefree ring:
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
-bidegree (a, b) depends only on (d, a, b, i, j).  One echelon basis per such
-orbit is built on the (i+j)-letter alphabet and cached under that key; every
-weight space of every n is relabelled onto it.  Each block is built by
-peeling the last letter L of its weight: L sits either in the monomial, as
-x_L, y_L or x_L*y_L times a block of the same power, or in one of the
-i + j - 1 minors on L, times a block one power below.  ``ideal_power_span``
+bidegree (a, b) depends only on (d, a, b, i, j).  The letters used twice
+then collapse out:
+
+    Lemma.  Let V2 be the i letters of weight 2 and V1 the j letters of
+    weight 1.  For j >= 1 the d-th power at 2^i 1^j is x_V2*y_V2 times the
+    max(0, d - i)-th power in the multilinear weight space 1^j on V1, of
+    bidegree (a - i, b - i).  For j = 0 the space is the one monomial
+    x_V2*y_V2, which lies in the d-th power iff d = 0 or d <= i - 1.
+
+    Proof.  The weight space of the d-th power is spanned by the products
+    g = m_1 ... m_d * (monomial) of that weight, each minor m_k = [p, q] =
+    x_p*y_q + x_q*y_p an edge p - q.  No letter has weight over 2, so the
+    edges form paths and cycles (a repeated minor is a cycle of length 2).
+    Expanding the minors of a component picks an x end per edge, and every
+    letter inside the component needs one x and one y.  On a cycle that
+    leaves its two orientations, which give the same monomial, so g = 0
+    mod 2.  On a path u = v_0 - ... - v_k = w it leaves two terms, whose
+    sum is x_v*y_v over the inner letters times [u, w]; k = 2 is
+    [u, v][v, w] = x_v*y_v*[u, w] (``collapse_interlocked``).  An end of
+    weight 2 takes one more variable from the monomial, a tail, and
+    x_u*[u, w] = x_u*y_u*x_w: the path's last minor goes too.  So g is
+    x_V2*y_V2 times r minors on disjoint pairs of V1 times a monomial on the
+    rest of V1, each inner letter or tail costing one minor: r >= d - i.
+    Conversely, take such a product h with r = max(0, d - i).  If r >= 1,
+    route V2 through its first minor, [p, v_1][v_1, v_2]...[v_i, q] =
+    x_V2*y_V2*[p, q], which gives d minors or more.  If r = 0, the monomial
+    h has a variable at some u in V1, say x_u, and x_v1*[v_1, v_2]...[v_i, u]
+    = x_V2*y_V2*x_u gives i >= d minors.  For j = 0 every end is a tail, so
+    a nonzero g with d >= 1 needs a letter more than its d minors; and when
+    d <= i - 1, x_u*y_w times one path u - ... - w through d + 1 letters,
+    times x_v*y_v for the rest, is x_V2*y_V2.  []
+
+Multiplying by x_V2*y_V2 maps the monomials of 1^j one to one onto those of
+2^i 1^j, column by column in ``_orbit_columns(j, a - i)``.  So one echelon
+basis per multilinear (d, a, b) is built on a + b letters and cached;
+every weight space of every n reads it through ``_orbit_block``, or the
+j = 0 rule.  Each block is built by peeling the last letter L: it sits in
+the monomial, as x_L or y_L times a block of the same power, or in one of
+the a + b - 1 minors on L, times a block one power below.  ``ideal_power_span``
 keeps the brute-force spanning set over a whole bidegree, for reference.
 The two identity checks only count, orbit by orbit: formula coefficients
 (telescoping) and cap-2 tableaux on exactly 1..m (Pieri).
@@ -36,7 +69,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .gf2_exterior import ExtElement, _times_minor, minor, monomial
+from .gf2_exterior import ExtElement, minor, monomial
 from .linalg_gf2 import EchelonBasis
 from .standard_monomials import (
     IndexTriple,
@@ -117,70 +150,50 @@ def _compress(v: int, mask: int) -> int:
     return out
 
 
-def _take(p: int, r2: int, r1: int) -> tuple[int, int]:
-    """Residual masks after one more use of letter bit ``p``."""
-    if r2 & p:
-        return r2 ^ p, r1 | p
-    return r2, r1 ^ p
-
-
 @lru_cache(maxsize=None)
-def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
-    """Echelon basis of the d-th ideal power in the weight space 2^i 1^j of
-    bidegree (a, b), on the letters 0..i+j-1 (0..i-1 of weight 2).
+def _multilinear_block(d: int, a: int, b: int) -> EchelonBasis:
+    """Echelon basis of the d-th ideal power in the multilinear weight space
+    1^(a+b) of bidegree (a, b), on the letters 0..a+b-1.
 
     The 0-th power is the whole weight space.  Above it, every spanning
     product (d minors times a monomial) uses the last letter L, which peels
     off.  Either L sits only in the monomial, and the product is x_L or y_L
-    (L of weight 1) or x_L*y_L (L of weight 2) times the d-th power at the
-    weight without L, of bidegree (a-1, b), (a, b-1) or (a-1, b-1); or L
-    sits in a minor on some p < L, and the product is that minor times the
-    (d-1)-st power at the weight left after one more use of p and of L.  So
-    the block is the monomial shifts of at most two same-power blocks plus
-    i + j - 1 minors times blocks one power below.  Each smaller weight is
-    another orbit, whose block is relabelled onto the letters left (those of
-    weight 2 first, each kind in order).  Blocks with a < b arise through
-    x_L.  The cache holds at most one block per (d, a, b, i, j) and never
-    depends on n.
+    times the d-th power on the letters without L, of bidegree (a-1, b) or
+    (a, b-1); or L sits in a minor on some p < L, and the product is that
+    minor times the (d-1)-st power on the a + b - 2 letters left, of
+    bidegree (a-1, b-1).  Blocks with a < b arise through x_L.  The cache
+    holds at most one block per (d, a, b) and never depends on n.
     """
-    if d > min(a, b) or not 0 <= a - i <= j:
+    if d > min(a, b):
         return EchelonBasis()
-    cols = _orbit_columns(j, a - i)
+    j = a + b
+    cols = _orbit_columns(j, a)
     if d == 0:
         return EchelonBasis(1 << c for c in range(len(cols)))
-    w2, w1 = (1 << i) - 1, ((1 << j) - 1) << i
-    last = 1 << (i + j - 1)
-    if j:
-        # in the order of _orbit_columns, y_L keeps the columns of the block
-        # below and x_L moves them past the C(j - 1, a - i) columns without
-        # x_L, so the two shifts stay in echelon form.  The minors on L span
-        # the block without them (x_L*m_pq = x_q*m_pL + x_p*m_qL), but these
-        # free pivots made building every block with a <= 8 about a fifth faster
-        shift = comb(j - 1, a - i)
-        block = _orbit_block(d, a, b - 1, i, j - 1).copy()
-        for row in _orbit_block(d, a - 1, b, i, j - 1).rows:
-            block.add(row << shift)
-    else:  # one column, which x_L*y_L keeps
-        block = _orbit_block(d, a - 1, b - 1, i - 1, 0).copy()
-    for p in range(i + j - 1):
+    # in the order of _orbit_columns, y_L keeps the columns of the block
+    # below and x_L moves them past the C(j - 1, a) columns without x_L, so
+    # the two shifts stay in echelon form.  The minors on L span the block
+    # without them (x_L*m_pq = x_q*m_pL + x_p*m_qL), but these free pivots
+    # made building every block with a <= 8 about a fifth faster
+    shift = comb(j - 1, a)
+    block = _multilinear_block(d, a, b - 1).copy()
+    for row in _multilinear_block(d, a - 1, b).rows:
+        block.add(row << shift)
+    below = _multilinear_block(d - 1, a - 1, b - 1).rows
+    last = 1 << (j - 1)
+    for p in range(j - 1):
         if block.rank == len(cols):
             break
         bp = 1 << p
-        r2, r1 = _take(last, *_take(bp, w2, w1))
-        below = _orbit_block(d - 1, a - 1, b - 1, r2.bit_count(), r1.bit_count())
-        if not below.rank:
-            continue
-        # images[c]: the minor on p and L times the monomial of column c of
-        # the block below, whose x letters of weight 1 are the c-th choice in
-        # the order of _orbit_columns
-        ones = [1 << t for t in range(i + j) if r1 >> t & 1]
-        images = []
-        for xs in sorted(map(sum, combinations(ones, a - 1 - r2.bit_count()))):
-            v = 0
-            for xm, _ in _times_minor(((r2 | xs, r2 | r1 ^ xs),), bp, last):
-                v |= 1 << cols[xm >> i]
-            images.append(v)
-        for row in below.rows:
+        # images[c]: the minor x_p*y_L + x_L*y_p times the monomial of column
+        # c of the block below, whose x letters are the c-th choice of a - 1
+        # letters other than p and L in the order of _orbit_columns
+        ones = [1 << t for t in range(j - 1) if t != p]
+        images = [
+            1 << cols[xs | bp] | 1 << cols[xs | last]
+            for xs in sorted(map(sum, combinations(ones, a - 1)))
+        ]
+        for row in below:
             v = 0
             while row:
                 low = row & -row
@@ -188,6 +201,24 @@ def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
                 row ^= low
             block.add(v)
     return block
+
+
+def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
+    """Echelon basis of the d-th ideal power in the weight space 2^i 1^j of
+    bidegree (a, b), an orbit with 2i + j = a + b and i <= min(a, b), on the
+    letters 0..i+j-1 (0..i-1 of weight 2), in the columns of
+    ``_orbit_columns(j, a - i)``.
+
+    Each letter of weight 2 collapses out (see the module docstring): for
+    j >= 1 the block is x_v*y_v over those letters times the multilinear
+    block of the power max(0, d - i) in bidegree (a - i, b - i), in the same
+    columns.  For j = 0 the space is the one monomial of 2^i, which lies in
+    the d-th power iff d = 0 or d <= i - 1.  Not cached: for j = 0 a fresh
+    block is built on each call.
+    """
+    if j:
+        return _multilinear_block(max(0, d - i), a - i, b - i)
+    return EchelonBasis((1,) if d == 0 or d < i else ())
 
 
 def _rank(d: int, a: int, b: int, i: int, j: int) -> int:
@@ -316,8 +347,9 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
     computed = subquotient_character(idx)
     expected = expected_character(a, b, d, n)
+    match = computed == expected
     # one weight per differing orbit: an orbit at n = 32 can hold 10^8 weights
-    mismatched = tuple((computed - expected).orbit_representatives())
+    mismatched = () if match else tuple((computed - expected).orbit_representatives())
 
     basis_count = rank_added = 0
     independent = True
@@ -334,7 +366,7 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
         d=d,
         n=n,
         case=case_tag(idx),
-        match=computed == expected,
+        match=match,
         computed=computed,
         expected=expected,
         basis_count=basis_count,

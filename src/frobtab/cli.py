@@ -5,7 +5,8 @@ Subcommands:
 * ``enumerate``   list tableaux of a two-row shape, one per line
 * ``straighten``  rewrite a semistandard tableau into straight form (JSON)
 * ``character``   print a subquotient character (JSON or CSV)
-* ``verify-all``  run the character/basis verification over a grid of triples
+* ``verify-all``  run the character/basis verification over a grid of triples,
+  one line per triple as soon as it is verified
 
 Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input,
 3 an internal error: straightening gave up after
@@ -146,6 +147,18 @@ def _report_line(report) -> str:
     )
 
 
+def _verify_lines(triples, out) -> int:
+    """Verify each triple and write its report line as soon as it is known;
+    return the number of failures."""
+    failed = 0
+    for idx in triples:
+        report = verify_triple(idx)
+        failed += not report.ok
+        out.write(_report_line(report) + "\n")
+        out.flush()
+    return failed
+
+
 def _cmd_verify_all(args) -> int:
     config: dict[str, int] = {"max_a": 3, "max_n": 4}
     if args.grid:
@@ -172,17 +185,12 @@ def _cmd_verify_all(args) -> int:
         for b in range(0, a + 1)
         for d in range(0, b + 1)
     ]
-    reports = [verify_triple(idx) for idx in triples]
-
-    lines = [_report_line(r) for r in reports]
-    failed = sum(1 for r in reports if not r.ok)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"{len(reports)} triples, {failed} failures -> {args.out}")
+            failed = _verify_lines(triples, fh)
+        print(f"{len(triples)} triples, {failed} failures -> {args.out}")
     else:
-        for line in lines:
-            print(line)
+        failed = _verify_lines(triples, sys.stdout)
     return 1 if failed else 0
 
 

@@ -1,13 +1,14 @@
 """Character computation and basis certification against the GF(2) oracle.
 
-The orbit engine is checked against two brute-force paths kept here: the
-full spanning set of each ideal power over a whole bidegree, reduced weight
-by weight and over the whole bidegree at once; and ``spanning_block``, each
-orbit block built from its d-fold products of minors.  The basis certificate
-on compressed supports is checked against ``element_certificate``, which
-reads each basis tableau as an ``ExtElement`` split into weight pieces: once
-per support, and through ``per_n_certificate`` on every basis tableau on n
-letters.
+The orbit engine is checked against three paths kept here: the full
+spanning set of each ideal power over a whole bidegree, reduced weight by
+weight and over the whole bidegree at once; ``spanning_block``, each orbit
+block built from its d-fold products of minors; and ``peeled_block``, each
+orbit block built by peeling its last letter at every weight 2^i 1^j, with
+no letter of weight 2 collapsed.  The basis certificate on compressed
+supports is checked against ``element_certificate``, which reads each basis
+tableau as an ``ExtElement`` split into weight pieces: once per support, and
+through ``per_n_certificate`` on every basis tableau on n letters.
 """
 
 import math
@@ -21,10 +22,10 @@ from hypothesis import strategies as st
 from frobtab import characters
 from frobtab.characters import (
     _ideal_span_cached,
+    _multilinear_block,
     _orbit_block,
     _orbit_columns,
     _support_certificate,
-    _take,
     _weight_pieces,
     ideal_power_span,
     in_ideal_power,
@@ -161,6 +162,61 @@ def element_support_certificate(a, b, d, m):
     return len(tabs), independent, gained
 
 
+def _take(p, r2, r1):
+    """Residual masks after one more use of letter bit ``p``."""
+    if r2 & p:
+        return r2 ^ p, r1 | p
+    return r2, r1 ^ p
+
+
+@lru_cache(maxsize=None)
+def peeled_block(d, a, b, i, j):
+    """``_orbit_block`` built by peeling the last letter L at every weight.
+
+    Either L sits only in the monomial, as x_L or y_L (L of weight 1) or
+    x_L*y_L (L of weight 2) times the d-th power at the weight without L; or
+    L sits in a minor on some p < L, times the (d-1)-st power at the weight
+    left after one more use of p and of L, relabelled onto the letters left
+    (those of weight 2 first, each kind in order).
+    """
+    if d > min(a, b) or not 0 <= a - i <= j:
+        return EchelonBasis()
+    cols = _orbit_columns(j, a - i)
+    if d == 0:
+        return EchelonBasis(1 << c for c in range(len(cols)))
+    w2, w1 = (1 << i) - 1, ((1 << j) - 1) << i
+    last = 1 << (i + j - 1)
+    if j:
+        block = peeled_block(d, a, b - 1, i, j - 1).copy()
+        for row in peeled_block(d, a - 1, b, i, j - 1).rows:
+            block.add(row << math.comb(j - 1, a - i))
+    else:  # one column, which x_L*y_L keeps
+        block = peeled_block(d, a - 1, b - 1, i - 1, 0).copy()
+    for p in range(i + j - 1):
+        if block.rank == len(cols):
+            break
+        bp = 1 << p
+        r2, r1 = _take(last, *_take(bp, w2, w1))
+        below = peeled_block(d - 1, a - 1, b - 1, r2.bit_count(), r1.bit_count())
+        if not below.rank:
+            continue
+        ones = [1 << t for t in range(i + j) if r1 >> t & 1]
+        images = []
+        for xs in sorted(map(sum, combinations(ones, a - 1 - r2.bit_count()))):
+            v = 0
+            for xm, _ in _times_minor(((r2 | xs, r2 | r1 ^ xs),), bp, last):
+                v |= 1 << cols[xm >> i]
+            images.append(v)
+        for row in below.rows:
+            v = 0
+            while row:
+                low = row & -row
+                v ^= images[low.bit_length() - 1]
+                row ^= low
+            block.add(v)
+    return block
+
+
 def _minor_products(d, letters, r2, r1):
     """Nonzero products of d distinct minors that fit under a residual weight.
 
@@ -283,7 +339,9 @@ def test_subquotient_character_known_values():
     assert subquotient_character(IndexTriple(2, 2, 1, 2)) == SymPoly({(2, 2): 1}, 2)
 
 
-def test_verify_triple_report_fields():
+def test_verify_triple_report_fields(monkeypatch):
+    # the difference of the two characters is taken only when they differ
+    monkeypatch.delattr(OrbitCharacter, "__sub__")
     rep = verify_triple(IndexTriple(2, 2, 1, 2))
     assert rep.ok
     assert rep.case == "off_by_one"
@@ -393,11 +451,11 @@ def test_checks_build_no_orbit_block_and_no_sympoly(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError("a SymPoly was built")
 
-    _orbit_block.cache_clear()
+    _multilinear_block.cache_clear()
     monkeypatch.setattr(SymPoly, "__init__", refuse)
     assert telescoping_check(7, 7, 32)
     assert pieri_filtration_check(7, 6, 32)
-    assert _orbit_block.cache_info().currsize == 0
+    assert _multilinear_block.cache_info().currsize == 0
 
 
 def test_pieri_requires_strict_inequality():
@@ -430,6 +488,65 @@ def test_orbit_blocks_span_the_spanning_products():
                     assert all(oracle.contains(row) for row in block.rows), (d, a, b, i, j)
                     checked += 1
     assert checked == 392
+
+
+@pytest.fixture(scope="module")
+def peeled():
+    """``peeled_block``, its cache freed after the module's tests."""
+    yield peeled_block
+    peeled_block.cache_clear()
+
+
+def test_orbit_blocks_match_the_peel_at_every_weight(peeled):
+    # every block with a, b <= 7 in both orders, including d = min(a, b) + 1:
+    # each letter of weight 2 collapses out, and the one-line spaces 2^i
+    # follow the rule d = 0 or d <= i - 1
+    checked = 0
+    for a in range(0, 8):
+        for b in range(0, 8):
+            for i in range(0, min(a, b) + 1):
+                j = a + b - 2 * i
+                for d in range(0, min(a, b) + 2):
+                    block, oracle = _orbit_block(d, a, b, i, j), peeled(d, a, b, i, j)
+                    assert block.rank == oracle.rank, (d, a, b, i, j)
+                    assert all(oracle.contains(row) for row in block.rows), (d, a, b, i, j)
+                    checked += 1
+    assert checked == 1080
+
+
+def test_subquotients_vanish_where_the_collapse_says(peeled):
+    # at n = a + b every orbit (i, j) of bidegree (a, b) is present; a letter
+    # of weight 2 absorbs one minor, so (d-th power) / (d+1-st power) is zero
+    # at i > d, except on the one-line space 2^i with d = i - 1.  Read from
+    # the peel, which collapses nothing, and from the case formulas
+    checked = 0
+    for a in range(0, 8):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                n = max(a + b, 1)
+                formula = expected_character(a, b, d, n)
+                for i in range(0, b + 1):
+                    j = a + b - 2 * i
+                    coeff = peeled(d, a, b, i, j).rank - peeled(d + 1, a, b, i, j).rank
+                    may = i <= d or (j == 0 and d == i - 1)
+                    assert may or coeff == 0, (a, b, d, i, j)
+                    w = (2,) * i + (1,) * j + (0,) * (n - i - j)
+                    assert may or formula.coeff(w) == 0, (a, b, d, i, j)
+                    checked += 1
+    assert checked == 540
+
+
+def test_a_verify_grid_pass_builds_only_multilinear_blocks():
+    # the 498 triples with a <= 6, n <= 6, from an empty cache: one block per
+    # (d, a, b) reached, where the peel at every weight built 297
+    _multilinear_block.cache_clear()
+    _support_certificate.cache_clear()
+    for n in range(1, 7):
+        for a in range(1, 7):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    assert verify_triple(IndexTriple(a, b, d, n)).ok
+    assert _multilinear_block.cache_info().currsize == 58
 
 
 def test_orbit_blocks_mirror_under_swapping_x_and_y():
@@ -716,6 +833,6 @@ def test_the_caches_of_characters_are_the_orbit_span_and_certificate_caches():
     assert cached == {
         "_ideal_span_cached",
         "_orbit_columns",
-        "_orbit_block",
+        "_multilinear_block",
         "_support_certificate",
     }

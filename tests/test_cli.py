@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from frobtab import cli, straightening
 from frobtab.cli import main
+from frobtab.standard_monomials import IndexTriple
 from frobtab.symfunc import SymPoly, schur_squarefree
 
 
@@ -171,6 +173,40 @@ def test_verify_all_grid_file_and_out_file(tmp_path, capsys):
     lines = outfile.read_text().strip().splitlines()
     assert len(lines) == 6  # (1,0,0), (1,1,0), (1,1,1) for each of n = 1, 2
     assert all(json.loads(line)["ok"] for line in lines)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_verify_all_writes_each_line_before_the_next_triple(
+    tmp_path, capsys, monkeypatch, to_file
+):
+    # one report of the 18 is made to fail: its line is still written, in
+    # order, and the exit code and the --out summary count it
+    outfile = tmp_path / "results.jsonl"
+    real, printed, written_before = cli.verify_triple, [], []
+
+    def traced(idx):
+        if to_file:
+            text = outfile.read_text()
+        else:
+            printed.append(capsys.readouterr().out)
+            text = "".join(printed)
+        written_before.append(text.count("\n"))
+        report = real(idx)
+        return replace(report, match=False) if idx == IndexTriple(2, 1, 1, 2) else report
+
+    monkeypatch.setattr(cli, "verify_triple", traced)
+    argv = ["verify-all", "--max-a", "2", "--max-n", "2"]
+    argv += ["--out", str(outfile)] if to_file else []
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert written_before == list(range(18))
+    if to_file:
+        assert out == f"18 triples, 1 failures -> {outfile}\n"
+        out = outfile.read_text()
+    else:
+        out = "".join(printed) + out
+    failed = [json.loads(line) for line in out.splitlines() if not json.loads(line)["ok"]]
+    assert [(p["a"], p["b"], p["d"], p["n"], p["match"]) for p in failed] == [(2, 1, 1, 2, False)]
 
 
 def test_verify_all_rejects_unknown_grid_keys(tmp_path, capsys):
