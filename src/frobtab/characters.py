@@ -10,10 +10,11 @@ squarefree ring:
   weight orbit (an ``OrbitCharacter``),
 * certification that the proposed straight-tableau basis really is one
   (independent modulo the higher power, and spanning the lower one), once
-  per compressed support: the basis tableaux on exactly 1..m stand for
-  those on every m-letter subset of 1..n, at every n.  The certificate is
-  cached under (a, b, d, m), with m <= a + b, so every caller shares it.
-  Each standard monomial's row is built from the tableau's raw rows.
+  per orbit: the basis tableaux on exactly 1..m, m = i + j, stand for those
+  on every m-letter subset of 1..n, at every n, and no other m holds any.
+  The certificate is checked weight by weight and cached under
+  (a, b, d, m), with a <= m <= a + b, so every caller shares it.  Each
+  standard monomial's row is built from the tableau's raw rows.
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -340,9 +341,12 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
     moved onto 1..m.  The basis at n is the union over m-letter supports,
     C(n, m) of each: it is independent when each support's part is, and it
     spans when the rank it adds, summed with those weights, is the
-    dimension.  ``_support_certificate`` caches the (count, added) pair of
-    each (a, b, d, m), so each support is certified once, for every n and
-    every caller.
+    dimension.  A basis tableau on m letters lies in the orbit
+    (a + b - m, 2m - a - b), so only the supports m = i + j of the orbits
+    hold any (row 1 has a + b - d >= a distinct letters, so m >= a).
+    ``_support_certificate`` caches the (count, added) pair of each
+    (a, b, d, m), so each support is certified once, for every n and every
+    caller.
     """
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
     computed = subquotient_character(idx)
@@ -353,7 +357,8 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
 
     basis_count = rank_added = 0
     independent = True
-    for m in range(min(n, a + b) + 1):
+    for i, j in _orbits(a, b, n):
+        m = i + j
         count, added = _support_certificate(a, b, d, m)
         basis_count += comb(n, m) * count
         rank_added += comb(n, m) * added

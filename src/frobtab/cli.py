@@ -10,8 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input,
 3 an internal error: straightening gave up after
-``straightening.ITERATION_CAP`` steps, or one of its invariants failed (not a
-verdict on the input).
+``straightening.ITERATION_CAP`` steps, or one of its invariants failed, or
+``verify-all`` raised while verifying a triple, after its grid and ``--out``
+were accepted (not a verdict on the input).  Lines already written stay,
+and a fault while verifying prints its traceback before the message.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .characters import in_ideal_power, subquotient_character, verify_triple
 from .gf2_exterior import MAX_N
@@ -31,6 +34,11 @@ from .straightening import (
 from .tableaux import enumerate_tableaux, format_tableau, parse_tableau
 
 __all__ = ["main"]
+
+
+class _VerificationCrashed(Exception):
+    """An exception raised by ``verify_triple`` on a validated triple: a fault
+    of the program, not of the input."""
 
 
 def _shape_arg(text: str) -> tuple[int, int]:
@@ -152,7 +160,10 @@ def _verify_lines(triples, out) -> int:
     return the number of failures."""
     failed = 0
     for idx in triples:
-        report = verify_triple(idx)
+        try:
+            report = verify_triple(idx)
+        except Exception as exc:
+            raise _VerificationCrashed(f"verifying {idx}: {exc}") from exc
         failed += not report.ok
         out.write(_report_line(report) + "\n")
         out.flush()
@@ -208,7 +219,13 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StraighteningLimitExceeded, StraighteningInvariantError) as exc:
+    except (
+        StraighteningLimitExceeded,
+        StraighteningInvariantError,
+        _VerificationCrashed,
+    ) as exc:
+        if isinstance(exc, _VerificationCrashed):
+            traceback.print_exception(exc.__cause__, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

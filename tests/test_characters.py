@@ -771,7 +771,8 @@ def test_verify_triple_builds_no_ext_element(monkeypatch):
                 for d in range(0, b + 1):
                     assert verify_triple(IndexTriple(a, b, d, n)).ok
     assert built == []
-    assert _support_certificate.cache_info().currsize == 389
+    # one support per orbit: the (a, b, d, m) with a <= m <= min(8, a + b)
+    assert _support_certificate.cache_info().currsize == 179
     # the counter sees the element path the certificate no longer takes
     element_support_certificate(3, 2, 1, 4)
     assert built
@@ -801,6 +802,35 @@ def test_a_mutated_support_fails_the_certificate_at_every_n_that_holds_it(
             assert rep.independent == (mutant == "dropped" or not holds), (a, b, d, n)
             sign = 1 if mutant == "dropped" else -1
             assert rep.quotient_dim - rep.basis_count == sign * math.comb(n, m), (a, b, d, n)
+
+
+def test_no_support_with_fewer_letters_than_a_holds_a_basis_tableau():
+    # row 1 holds a + b - d >= a distinct letters, so verify_triple reads the
+    # supports of the orbits only, m = i + j from a to a + b
+    checked = 0
+    for a in range(0, 9):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(a):
+                    assert _exact_support_rows(a, b, d, m) == [], (a, b, d, m)
+                    checked += 1
+    assert checked == 990
+
+
+def test_verify_triple_asks_only_for_the_supports_of_its_orbits(monkeypatch):
+    asked = []
+    original = characters._support_certificate
+
+    def recorded(a, b, d, m):
+        asked.append(m)
+        return original(a, b, d, m)
+
+    monkeypatch.setattr(characters, "_support_certificate", recorded)
+    for a, b, n in GRID:
+        for d in range(b + 1):
+            asked.clear()
+            assert verify_triple(IndexTriple(a, b, d, n)).ok
+            assert sorted(asked) == list(range(a, min(n, a + b) + 1)), (a, b, d, n)
 
 
 def test_verify_triple_reads_the_character_once(monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from frobtab import cli, straightening
+from frobtab import characters, cli, straightening
 from frobtab.cli import main
 from frobtab.standard_monomials import IndexTriple
 from frobtab.symfunc import SymPoly, schur_squarefree
@@ -207,6 +207,43 @@ def test_verify_all_writes_each_line_before_the_next_triple(
         out = "".join(printed) + out
     failed = [json.loads(line) for line in out.splitlines() if not json.loads(line)["ok"]]
     assert [(p["a"], p["b"], p["d"], p["n"], p["match"]) for p in failed] == [(2, 1, 1, 2, False)]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_a_fault_while_verifying_is_an_internal_error(tmp_path, capsys, monkeypatch, to_file):
+    # the support rows of (2, 1, 1, 2) come out with their rows swapped, so
+    # rectification raises at (2, 1, 1, n=2), the 15th triple of the grid:
+    # the 14 lines before it stay written, and the grid was valid input
+    original = characters._exact_support_rows
+
+    def swapped(*key):
+        rows = original(*key)
+        return [(r2, r1) for r1, r2 in rows] if key == (2, 1, 1, 2) else rows
+
+    monkeypatch.setattr(characters, "_exact_support_rows", swapped)
+    characters._support_certificate.cache_clear()
+    outfile = tmp_path / "results.jsonl"
+    argv = ["verify-all", "--max-a", "2", "--max-n", "2"]
+    argv += ["--out", str(outfile)] if to_file else []
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        characters._support_certificate.cache_clear()
+    assert code == 3
+    # the traceback of the fault comes first, then the one-line message
+    err_lines = err.splitlines()
+    assert err_lines[0] == "Traceback (most recent call last):"
+    assert ", in _rectify_rows" in err
+    assert err_lines[-1] == (
+        "error: verifying (a=2, b=1, d=1, n=2): "
+        "rows (1,) / (1, 2) not cap-2 semistandard of shape (2, 1)"
+    )
+    if to_file:
+        assert out == ""
+        out = outfile.read_text()
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 14 and all(line["ok"] for line in lines)
+    assert (lines[-1]["a"], lines[-1]["b"], lines[-1]["d"], lines[-1]["n"]) == (2, 1, 0, 2)
 
 
 def test_verify_all_rejects_unknown_grid_keys(tmp_path, capsys):
