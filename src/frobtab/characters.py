@@ -13,8 +13,10 @@ squarefree ring:
   per orbit: the basis tableaux on exactly 1..m, m = i + j, stand for those
   on every m-letter subset of 1..n, at every n, and no other m holds any.
   The certificate is checked weight by weight and cached under
-  (a, b, d, m), with a <= m <= a + b, so every caller shares it.  Each
-  standard monomial's row is built from the tableau's raw rows.
+  (a, b, d, m), with a <= m <= a + b, so every caller shares it.  Within
+  one weight space a term's x-mask fixes its y-mask, so each standard
+  monomial's row is built from the rectified rows as a set of x-masks,
+  already on the orbit's letters (``_monomial_xmasks``).
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -75,7 +77,7 @@ from .linalg_gf2 import EchelonBasis
 from .standard_monomials import (
     IndexTriple,
     _exact_support_rows,
-    _monomial_terms,
+    _monomial_xmasks,
     _rectify_rows,
     case_tag,
 )
@@ -279,9 +281,12 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     add over it (ranks add up over weight spaces).
 
     A tableau has a + b entries on m letters, none used more than twice, so
-    its monomial lies in a weight space 2^i 1^j with i = a + b - m.  The row
-    is built on the rectified tableau relabelled as in ``_orbit_block``
-    (letters used twice first, each kind in order).
+    its monomial lies in a weight space 2^i 1^j with i = a + b - m.  The
+    letters used twice are the entries both rows share (rectifying keeps
+    the entries), and the label relabels them as in ``_orbit_block``:
+    letters used twice first, each kind in order.  The row is the x-masks
+    of the rectified rows under that label, which hold all i low bits, so
+    shifting those out gives the column.
     """
     rows = _exact_support_rows(a, b, d, m)
     if not rows:
@@ -289,18 +294,27 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     i = a + b - m
     cols = _orbit_columns(m - i, a - i)
     above = _orbit_block(d + 1, a, b, i, m - i)
+    bits = [1 << v for v in range(m + 1)]
+    low = (1 << i) - 1  # the letters used twice, relabelled
     # per set of letters used twice: the relabelling and the joint basis
-    joint: dict[frozenset[int], tuple[dict[int, int], EchelonBasis]] = {}
+    joint: dict[int, tuple[list[int], EchelonBasis]] = {}
     added = 0
     for row1, row2 in rows:
-        twice = frozenset(row1).intersection(row2)  # rectifying keeps the entries
+        # neither row repeats a letter before rectifying
+        twice = sum(map(bits.__getitem__, row1)) & sum(map(bits.__getitem__, row2))
         if twice not in joint:
-            order = sorted(range(1, m + 1), key=lambda v: v not in twice)
-            joint[twice] = dict(zip(order, range(1, m + 1))), above.copy()
+            label = [0] * (m + 1)
+            first, rest = 0, twice.bit_count()
+            for v in range(1, m + 1):
+                if twice >> v & 1:
+                    label[v], first = 1 << first, first + 1
+                else:
+                    label[v], rest = 1 << rest, rest + 1
+            joint[twice] = label, above.copy()
         label, basis = joint[twice]
         row1, row2 = _rectify_rows(row1, row2, a, b, d)
-        terms = _monomial_terms(tuple(map(label.get, row1)), tuple(map(label.get, row2)), a)
-        added += basis.add(sum(1 << cols[xm >> i] for xm, _ in terms))
+        xmasks = _monomial_xmasks(row1, row2, a, label, low)
+        added += basis.add(sum(1 << cols[xm >> i] for xm in xmasks))
     return len(rows), added
 
 

@@ -14,12 +14,15 @@ Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input,
 ``verify-all`` raised while verifying a triple, after its grid and ``--out``
 were accepted (not a verdict on the input).  Lines already written stay,
 and a fault while verifying prints its traceback before the message.
+141 (128 + SIGPIPE) means the reader closed stdout early, as ``| head``
+does; nothing is printed for it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -215,7 +218,14 @@ def main(argv=None) -> int:
         "verify-all": _cmd_verify_all,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not raise again (the recipe of Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,10 @@ element
 
 ``_monomial_terms`` builds it on (xmask, ymask) term sets: the two tail
 masks, times one column minor after another.  ``standard_monomial`` wraps
-the set in an ``ExtElement``; the basis certificate reads it as it is.
+the set in an ``ExtElement``, and the straightening loops add the sets up.
+The basis certificate needs only x-masks: the element lies in one weight
+space, where the x-mask of a term fixes its y-mask, so ``_monomial_xmasks``
+builds the same terms as plain ints, on relabelled letters.
 ``_tail_masks`` is the one test for rows that cancel on their entries alone
 (it returns None for them); the term builder, the straightness test and both
 straightening loops all use it.
@@ -105,6 +108,49 @@ def _monomial_terms(row1: tuple[int, ...], row2: tuple[int, ...], a: int) -> set
     for u, w in zip(row1, row2):
         terms = _times_minor(terms, 1 << (u - 1), 1 << (w - 1))
     return terms
+
+
+def _monomial_xmasks(
+    row1: tuple[int, ...], row2: tuple[int, ...], a: int, label: list[int], twice: int
+) -> list[int]:
+    """The x-masks of ``_monomial_terms``, with the letter v at the bit
+    ``label[v]``; ``twice`` holds the bits of the letters used twice, and no
+    letter may be used three times (true of every cap-2 tableau).
+
+    The standard monomial lies in one weight space, where a term's y-mask is
+    the weight minus its x-mask, so the x-mask alone fixes the term and two
+    products with one x-mask cancel mod 2 whatever their y sides.  The x side
+    grows as in ``_times_minor``; a y variable taken twice leaves a letter
+    used twice out of the x-mask, and a filter drops those masks.  So a
+    repeated column or a degenerate one cancels on the way, and the filter
+    drops a repeated y-tail letter.  A repeated x-tail letter shows in the
+    popcount, which returns early: the filter would drop it too, as the sum
+    carries the bit of the lowest such letter away and no column holds it.
+
+    A column of two letters used once meets no other entry: its bits are
+    free in every mask and no two of its products cancel, so it only doubles
+    the masks.  Such columns are applied after the filter, to the masks it
+    keeps.
+    """
+    d = len(row2)
+    # a sum of label bits is their union when they are distinct
+    xm = sum(map(label.__getitem__, row1[d:a]))
+    if xm.bit_count() < a - d:
+        return []
+    masks = {xm}
+    free = []
+    for u, w in zip(row1, row2):
+        bu, bw = label[u], label[w]
+        if not (bu | bw) & twice:
+            free.append((bu, bw))
+            continue
+        # each side adds its bit to distinct masks, so only the two sides can
+        # share a mask, and those pairs cancel mod 2
+        masks = {m | bu for m in masks if not m & bu} ^ {m | bw for m in masks if not m & bw}
+    masks = [m for m in masks if m & twice == twice]
+    for bu, bw in free:
+        masks = [*map(bu.__or__, masks), *map(bw.__or__, masks)]
+    return masks
 
 
 def _tail_masks(A: tuple[int, ...], B: tuple[int, ...], a: int) -> tuple[int, int] | None:

@@ -8,7 +8,10 @@ orbit block built by peeling its last letter at every weight 2^i 1^j, with
 no letter of weight 2 collapsed.  The basis certificate on compressed
 supports is checked against ``element_certificate``, which reads each basis
 tableau as an ``ExtElement`` split into weight pieces: once per support, and
-through ``per_n_certificate`` on every basis tableau on n letters.
+through ``per_n_certificate`` on every basis tableau on n letters.  Its rows,
+x-mask sets in orbit coordinates, are checked against the (xmask, ymask)
+term sets of the same relabelled rows, one by one and through
+``term_set_support_certificate``, the certificate as it was built on them.
 """
 
 import math
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobtab import characters
+from frobtab import characters, gf2_exterior, standard_monomials
 from frobtab.characters import (
     _ideal_span_cached,
     _multilinear_block,
@@ -40,6 +43,9 @@ from frobtab.standard_monomials import (
     DomainError,
     IndexTriple,
     _exact_support_rows,
+    _monomial_terms,
+    _monomial_xmasks,
+    _rectify_rows,
     basis_index_set,
     exact_support_basis,
     two_standard_monomial,
@@ -160,6 +166,46 @@ def element_support_certificate(a, b, d, m):
         [two_standard_monomial(t, idx) for t in tabs], idx
     )
     return len(tabs), independent, gained
+
+
+def orbit_label(twice, m):
+    """The relabelling of a weight onto its orbit: label[v] is the bit of
+    the letter v, the letters used twice first, each kind in order."""
+    label = [0] * (m + 1)
+    for pos, v in enumerate(sorted(range(1, m + 1), key=lambda v: v not in twice)):
+        label[v] = 1 << pos
+    return label
+
+
+def term_set_xmasks(row1, row2, a, label):
+    """The x-masks of the (xmask, ymask) term set of the relabelled rows."""
+
+    def relabel(row):
+        return tuple(label[v].bit_length() for v in row)
+
+    return {xm for xm, _ in _monomial_terms(relabel(row1), relabel(row2), a)}
+
+
+def term_set_support_certificate(a, b, d, m):
+    """``_support_certificate`` with each row built from the (xmask, ymask)
+    term set of the relabelled rows."""
+    rows = _exact_support_rows(a, b, d, m)
+    if not rows:
+        return 0, 0
+    i = a + b - m
+    cols = _orbit_columns(m - i, a - i)
+    above = _orbit_block(d + 1, a, b, i, m - i)
+    joint = {}
+    added = 0
+    for row1, row2 in rows:
+        twice = frozenset(row1).intersection(row2)  # rectifying keeps the entries
+        if twice not in joint:
+            joint[twice] = orbit_label(twice, m), above.copy()
+        label, basis = joint[twice]
+        row1, row2 = _rectify_rows(row1, row2, a, b, d)
+        xmasks = term_set_xmasks(row1, row2, a, label)
+        added += basis.add(sum(1 << cols[xm >> i] for xm in xmasks))
+    return len(rows), added
 
 
 def _take(p, r2, r1):
@@ -721,6 +767,67 @@ def test_support_certificate_agrees_with_the_element_certificate():
                     assert (count, added == count, added) == want, (a, b, d, m)
                     checked += 1
     assert checked == 406
+
+
+def test_xmasks_match_the_term_sets_on_every_rectified_support_row():
+    checked = cancelled = 0
+    for a in range(0, 7):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(a, a + b + 1):
+                    i = a + b - m
+                    for row1, row2 in _exact_support_rows(a, b, d, m):
+                        label = orbit_label(frozenset(row1).intersection(row2), m)
+                        row1, row2 = _rectify_rows(row1, row2, a, b, d)
+                        got = _monomial_xmasks(row1, row2, a, label, (1 << i) - 1)
+                        assert len(got) == len(set(got)), (row1, row2, a)
+                        want = term_set_xmasks(row1, row2, a, label)
+                        assert set(got) == want, (row1, row2, a)
+                        checked += 1
+                        cancelled += not want
+    assert (checked, cancelled) == (17_696, 0)
+
+
+def test_support_certificate_agrees_with_the_term_set_certificate():
+    checked = 0
+    _support_certificate.cache_clear()
+    for a in range(0, 7):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 1):
+                    want = term_set_support_certificate(a, b, d, m)
+                    assert _support_certificate(a, b, d, m) == want, (a, b, d, m)
+                    checked += 1
+    assert checked == 714
+
+
+def test_the_certificate_builds_no_term_set(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a term set was built")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _monomial_xmasks(*args)
+
+    assert not hasattr(characters, "_monomial_terms")
+    monkeypatch.setattr(gf2_exterior, "_times_minor", refused)
+    monkeypatch.setattr(standard_monomials, "_times_minor", refused)
+    monkeypatch.setattr(characters, "_monomial_xmasks", counted)
+    _support_certificate.cache_clear()
+    try:
+        for n in range(1, 9):
+            for a in range(0, 6):
+                for b in range(0, a + 1):
+                    for d in range(0, b + 1):
+                        assert verify_triple(IndexTriple(a, b, d, n)).ok
+        assert calls
+        # the patch holds: the element path still builds term sets
+        with pytest.raises(AssertionError, match="term set"):
+            element_support_certificate(3, 2, 1, 4)
+    finally:
+        _support_certificate.cache_clear()
 
 
 @pytest.fixture

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +327,37 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", "--max-a", "4", "--max-n", "32"],
+        ["enumerate", "--shape", "4,2", "--n", "12"],
+    ],
+    ids=["verify-all", "enumerate"],
+)
+def test_a_reader_that_closes_stdout_early_gets_exit_141(argv):
+    # as `frobtab ... | head -1` does; each command writes far more than a
+    # pipe holds (177 KB and 838 KB), so it is still writing when the pipe
+    # closes: no error line, no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frobtab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_an_out_file_that_cannot_be_written_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "results.jsonl"
+    code, out, err = run(capsys, "verify-all", "--max-a", "1", "--max-n", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

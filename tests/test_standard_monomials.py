@@ -1,6 +1,7 @@
 """Standard monomials, the rectification map, and straightness."""
 
 import itertools
+from collections import Counter
 from operator import eq
 
 import pytest
@@ -9,6 +10,8 @@ from frobtab.gf2_exterior import ExtElement, mask_of, minor, monomial, x_var, y_
 from frobtab.standard_monomials import (
     DomainError,
     IndexTriple,
+    _monomial_terms,
+    _monomial_xmasks,
     _tail_masks,
     basis_index_set,
     case_tag,
@@ -102,6 +105,43 @@ def test_syntactic_zero_test_matches_the_set_oracle_on_every_filling():
             hits += 1
             semistandard_hits += rows_are_ssyt(t.row1, t.row2)
     assert (hits, semistandard_hits) == (15_972, 953)
+
+
+def twice_mask(A, B):
+    """Bit v-1 for each letter v used twice."""
+    return mask_of((v for v, c in Counter(A + B).items() if c == 2), 4)
+
+
+IDENTITY = [0] + [1 << p for p in range(4)]  # the letter v at bit v-1
+
+
+def test_xmasks_match_the_term_sets_on_every_filling():
+    checked = cancelled = 0
+    for t, a in every_filling():
+        if max(Counter(t.row1 + t.row2).values(), default=0) > 2:
+            continue  # outside the domain of _monomial_xmasks
+        got = _monomial_xmasks(t.row1, t.row2, a, IDENTITY, twice_mask(t.row1, t.row2))
+        assert len(got) == len(set(got)), (t, a)
+        assert set(got) == {xm for xm, _ in _monomial_terms(t.row1, t.row2, a)}, (t, a)
+        checked += 1
+        cancelled += not got
+    assert (checked, cancelled) == (11_629, 5_904)
+
+
+@pytest.mark.parametrize(
+    "row1, row2, a, want",
+    [
+        ((1, 3, 3, 4), (2,), 3, set()),  # repeated x-tail letter
+        ((1, 3, 4, 4), (2,), 2, set()),  # repeated y-tail letter
+        ((1, 1, 3), (2, 2), 2, set()),  # repeated column
+        ((2, 3), (2,), 1, set()),  # degenerate column
+        ((1, 3, 3), (2,), 2, {0b101, 0b110}),  # x3*y3*[1, 2]: 3 in both tails
+        ((1, 3, 3), (2, 4), 2, {0b101, 0b110}),  # y3*[1, 2]*[3, 4]: one free column
+    ],
+)
+def test_xmasks_of_hand_built_rows(row1, row2, a, want):
+    assert {xm for xm, _ in _monomial_terms(row1, row2, a)} == want
+    assert set(_monomial_xmasks(row1, row2, a, IDENTITY, twice_mask(row1, row2))) == want
 
 
 def test_standard_monomial_split_point_validation():
