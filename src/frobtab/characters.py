@@ -15,8 +15,9 @@ squarefree ring:
   The certificate is checked weight by weight and cached under
   (a, b, d, m), with a <= m <= a + b, so every caller shares it.  Within
   one weight space a term's x-mask fixes its y-mask, so each standard
-  monomial's row is built from the rectified rows as a set of x-masks,
-  already on the orbit's letters (``_monomial_xmasks``).
+  monomial's row is read from the rectified rows as a set of x-masks on
+  the letters used once, which are the orbit's column keys: its columns
+  collapse path by path, as in the proof below (``_monomial_xmasks``).
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -221,11 +222,16 @@ def _orbit_block(d: int, a: int, b: int, i: int, j: int) -> EchelonBasis:
     """
     if j:
         return _multilinear_block(max(0, d - i), a - i, b - i)
-    return EchelonBasis((1,) if d == 0 or d < i else ())
+    return EchelonBasis((1,) * _rank(d, a, b, i, j))
 
 
 def _rank(d: int, a: int, b: int, i: int, j: int) -> int:
-    return _orbit_block(d, a, b, i, j).rank
+    """The rank of ``_orbit_block(d, a, b, i, j)``, with no block built for
+    j = 0: the one monomial of 2^i lies in the d-th power iff d = 0 or
+    d <= i - 1."""
+    if j:
+        return _multilinear_block(max(0, d - i), a - i, b - i).rank
+    return 1 if d == 0 or d < i else 0
 
 
 def _weight_pieces(terms: Iterable[tuple[int, int]]) -> dict[tuple[int, int, int], int]:
@@ -283,19 +289,20 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     A tableau has a + b entries on m letters, none used more than twice, so
     its monomial lies in a weight space 2^i 1^j with i = a + b - m.  The
     letters used twice are the entries both rows share (rectifying keeps
-    the entries), and the label relabels them as in ``_orbit_block``:
-    letters used twice first, each kind in order.  The row is the x-masks
-    of the rectified rows under that label, which hold all i low bits, so
-    shifting those out gives the column.
+    the entries).  The label puts the j letters used once on the bits
+    0..j-1 and those used twice above them, each kind in order, so the
+    x-masks of the rectified rows (``_monomial_xmasks``) are the column keys
+    of ``_orbit_columns(j, a - i)``, as in ``_orbit_block``.
     """
     rows = _exact_support_rows(a, b, d, m)
     if not rows:
         return 0, 0
     i = a + b - m
-    cols = _orbit_columns(m - i, a - i)
-    above = _orbit_block(d + 1, a, b, i, m - i)
+    j = m - i
+    cols = _orbit_columns(j, a - i)
+    above = _orbit_block(d + 1, a, b, i, j)
     bits = [1 << v for v in range(m + 1)]
-    low = (1 << i) - 1  # the letters used twice, relabelled
+    low = (1 << j) - 1  # the letters used once, relabelled
     # per set of letters used twice: the relabelling and the joint basis
     joint: dict[int, tuple[list[int], EchelonBasis]] = {}
     added = 0
@@ -304,17 +311,17 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
         twice = sum(map(bits.__getitem__, row1)) & sum(map(bits.__getitem__, row2))
         if twice not in joint:
             label = [0] * (m + 1)
-            first, rest = 0, twice.bit_count()
+            once, rest = 0, j
             for v in range(1, m + 1):
                 if twice >> v & 1:
-                    label[v], first = 1 << first, first + 1
-                else:
                     label[v], rest = 1 << rest, rest + 1
+                else:
+                    label[v], once = 1 << once, once + 1
             joint[twice] = label, above.copy()
         label, basis = joint[twice]
         row1, row2 = _rectify_rows(row1, row2, a, b, d)
         xmasks = _monomial_xmasks(row1, row2, a, label, low)
-        added += basis.add(sum(1 << cols[xm >> i] for xm in xmasks))
+        added += basis.add(sum(1 << cols[xm] for xm in xmasks))
     return len(rows), added
 
 

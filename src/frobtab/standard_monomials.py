@@ -11,8 +11,10 @@ element
 masks, times one column minor after another.  ``standard_monomial`` wraps
 the set in an ``ExtElement``, and the straightening loops add the sets up.
 The basis certificate needs only x-masks: the element lies in one weight
-space, where the x-mask of a term fixes its y-mask, so ``_monomial_xmasks``
-builds the same terms as plain ints, on relabelled letters.
+space, where the x-mask of a term fixes its y-mask and every letter used
+twice carries x_v*y_v.  So ``_monomial_xmasks`` returns the terms as plain
+ints on the letters used once, relabelled, read off the paths and cycles
+that the columns form, with no product taken and nothing to cancel.
 ``_tail_masks`` is the one test for rows that cancel on their entries alone
 (it returns None for them); the term builder, the straightness test and both
 straightening loops all use it.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import le
+from operator import eq, le
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
@@ -111,45 +113,70 @@ def _monomial_terms(row1: tuple[int, ...], row2: tuple[int, ...], a: int) -> set
 
 
 def _monomial_xmasks(
-    row1: tuple[int, ...], row2: tuple[int, ...], a: int, label: list[int], twice: int
+    row1: tuple[int, ...], row2: tuple[int, ...], a: int, label: list[int], low: int
 ) -> list[int]:
-    """The x-masks of ``_monomial_terms``, with the letter v at the bit
-    ``label[v]``; ``twice`` holds the bits of the letters used twice, and no
-    letter may be used three times (true of every cap-2 tableau).
+    """The x-masks of ``_monomial_terms`` on the letters used once, with the
+    letter v at the bit ``label[v]``: the letters used once on the bits of
+    ``low``, those used twice above them.  No letter may be used three
+    times (true of every cap-2 tableau).
 
-    The standard monomial lies in one weight space, where a term's y-mask is
-    the weight minus its x-mask, so the x-mask alone fixes the term and two
-    products with one x-mask cancel mod 2 whatever their y sides.  The x side
-    grows as in ``_times_minor``; a y variable taken twice leaves a letter
-    used twice out of the x-mask, and a filter drops those masks.  So a
-    repeated column or a degenerate one cancels on the way, and the filter
-    drops a repeated y-tail letter.  A repeated x-tail letter shows in the
-    popcount, which returns early: the filter would drop it too, as the sum
-    carries the bit of the lowest such letter away and no column holds it.
+    The monomial lies in one weight space, where every term carries
+    x_v*y_v for each letter v used twice, so the masks leave those letters
+    out, and each product collapses as the ``characters`` docstring shows.
+    Read each column as an edge and each tail entry as a mark on its
+    letter; a letter used twice then has two incidences.
 
-    A column of two letters used once meets no other entry: its bits are
-    free in every mask and no two of its products cancel, so it only doubles
-    the masks.  Such columns are applied after the filter, to the masks it
-    keeps.
+    * A repeated x-tail or y-tail letter shows in the popcount of its tail.
+    * A column of two letters used once is a free pair: either end takes x.
+    * A path through letters used twice is one minor on its ends.  A letter
+      used twice and marked by a tail is an end whose variable is fixed: an
+      x-tail gives the path's far end its x, a y-tail its y.  So a path
+      between two ends marked alike is zero, one between ends marked
+      differently is one term, and one from a marked end to a letter used
+      once fixes that letter; a path between two letters used once is one
+      more free pair.
+    * A cycle is zero; a degenerate column or a repeated one is a cycle.
+
+    The row is the fixed mask (the x-tail's letters used once, and each end
+    given an x) doubled by each free pair, so no two masks are equal.
     """
     d = len(row2)
     # a sum of label bits is their union when they are distinct
     xm = sum(map(label.__getitem__, row1[d:a]))
-    if xm.bit_count() < a - d:
+    ym = sum(map(label.__getitem__, row1[a:]))
+    if xm.bit_count() < a - d or ym.bit_count() < len(row1) - a:
         return []
-    masks = {xm}
+    inner = ~(low | xm | ym)  # the letters used twice in no tail
+    fixed = xm & low
+    far = {}  # the open end of each path walked so far -> its other end
     free = []
     for u, w in zip(row1, row2):
-        bu, bw = label[u], label[w]
-        if not (bu | bw) & twice:
-            free.append((bu, bw))
+        p, q = label[u], label[w]
+        if (p | q) <= low:
+            free.append((p, q))
             continue
-        # each side adds its bit to distinct masks, so only the two sides can
-        # share a mask, and those pairs cancel mod 2
-        masks = {m | bu for m in masks if not m & bu} ^ {m | bw for m in masks if not m & bw}
-    masks = [m for m in masks if m & twice == twice]
-    for bu, bw in free:
-        masks = [*map(bu.__or__, masks), *map(bw.__or__, masks)]
+        # glue the column onto the paths that end at p or q
+        if p & inner and p in far:
+            p = far.pop(p)
+        if p == q:
+            return []  # a degenerate column, or one that closes a cycle
+        if q & inner and q in far:
+            q = far.pop(q)
+        ends = p | q
+        if ends & inner:  # the path is still open
+            if p & inner:
+                far[p] = q
+            if q & inner:
+                far[q] = p
+        elif ends <= low:
+            free.append((p, q))
+        elif ends & xm == ends or ends & ym == ends:
+            return []  # both ends take x from their tails, or both take y
+        elif ends & xm:
+            fixed |= ends & low
+    masks = [fixed]
+    for p, q in free:
+        masks = [*map(p.__or__, masks), *map(q.__or__, masks)]
     return masks
 
 
@@ -246,6 +273,8 @@ def _rectify_rows(
         if case == CASE_ALL_EQUAL and row1 == row2:
             raise DomainError(f"identical rows are excluded for a=b=d: {row1} / {row2}")
 
+    if not any(map(eq, row1, row2)):
+        return row1, row2  # no identical column to swap
     new1, new2 = list(row1), list(row2)
     square = case == CASE_ALL_EQUAL
     for i, k in _identical_blocks(row1, row2):

@@ -9,9 +9,10 @@ no letter of weight 2 collapsed.  The basis certificate on compressed
 supports is checked against ``element_certificate``, which reads each basis
 tableau as an ``ExtElement`` split into weight pieces: once per support, and
 through ``per_n_certificate`` on every basis tableau on n letters.  Its rows,
-x-mask sets in orbit coordinates, are checked against the (xmask, ymask)
-term sets of the same relabelled rows, one by one and through
-``term_set_support_certificate``, the certificate as it was built on them.
+x-masks on the letters used once, are checked against the (xmask, ymask)
+term sets of the same rows, projected onto those letters, one by one and
+through ``term_set_support_certificate``, the certificate as it was built
+on them.
 """
 
 import math
@@ -28,6 +29,7 @@ from frobtab.characters import (
     _multilinear_block,
     _orbit_block,
     _orbit_columns,
+    _rank,
     _support_certificate,
     _weight_pieces,
     ideal_power_span,
@@ -173,6 +175,15 @@ def orbit_label(twice, m):
     the letter v, the letters used twice first, each kind in order."""
     label = [0] * (m + 1)
     for pos, v in enumerate(sorted(range(1, m + 1), key=lambda v: v not in twice)):
+        label[v] = 1 << pos
+    return label
+
+
+def once_first_label(twice, m):
+    """The relabelling ``_monomial_xmasks`` reads: the letters used once
+    first, then those used twice, each kind in order."""
+    label = [0] * (m + 1)
+    for pos, v in enumerate(sorted(range(1, m + 1), key=lambda v: v in twice)):
         label[v] = 1 << pos
     return label
 
@@ -617,6 +628,19 @@ def test_orbit_blocks_mirror_under_swapping_x_and_y():
     assert checked == 672
 
 
+def test_ranks_read_without_a_block_match_the_orbit_blocks():
+    # every rank subquotient_character reads: d up to b + 1 at each orbit
+    checked = 0
+    for a in range(0, 8):
+        for b in range(0, a + 1):
+            for i in range(0, b + 1):
+                j = a + b - 2 * i
+                for d in range(0, b + 2):
+                    assert _rank(d, a, b, i, j) == _orbit_block(d, a, b, i, j).rank, (d, a, b, i, j)
+                    checked += 1
+    assert checked == 660
+
+
 def test_dimensions_and_characters_match_brute_force(brute_ranks):
     for a, b, n in GRID:
         for d in range(0, b + 1):
@@ -777,12 +801,16 @@ def test_xmasks_match_the_term_sets_on_every_rectified_support_row():
                 for m in range(a, a + b + 1):
                     i = a + b - m
                     for row1, row2 in _exact_support_rows(a, b, d, m):
-                        label = orbit_label(frozenset(row1).intersection(row2), m)
+                        twice = frozenset(row1).intersection(row2)
+                        label = once_first_label(twice, m)
                         row1, row2 = _rectify_rows(row1, row2, a, b, d)
-                        got = _monomial_xmasks(row1, row2, a, label, (1 << i) - 1)
+                        got = _monomial_xmasks(row1, row2, a, label, (1 << m - i) - 1)
                         assert len(got) == len(set(got)), (row1, row2, a)
-                        want = term_set_xmasks(row1, row2, a, label)
-                        assert set(got) == want, (row1, row2, a)
+                        # the term set's x-masks hold every letter used twice,
+                        # on the i low bits of orbit_label; project them out
+                        want = term_set_xmasks(row1, row2, a, orbit_label(twice, m))
+                        assert all(xm & (1 << i) - 1 == (1 << i) - 1 for xm in want)
+                        assert set(got) == {xm >> i for xm in want}, (row1, row2, a)
                         checked += 1
                         cancelled += not want
     assert (checked, cancelled) == (17_696, 0)

@@ -107,12 +107,30 @@ def test_syntactic_zero_test_matches_the_set_oracle_on_every_filling():
     assert (hits, semistandard_hits) == (15_972, 953)
 
 
-def twice_mask(A, B):
-    """Bit v-1 for each letter v used twice."""
-    return mask_of((v for v, c in Counter(A + B).items() if c == 2), 4)
+def split_label(A, B):
+    """The label of ``_monomial_xmasks`` over 4 letters: the letters used
+    once on the low bits, then those used twice, each kind in order (unused
+    letters last), and the mask of the bits of the letters used once."""
+    counts = Counter(A + B)
+    kind = {1: 0, 2: 1}  # once, twice; any other count sorts last
+    label = [0] * 5
+    for pos, v in enumerate(sorted(range(1, 5), key=lambda v: kind.get(counts[v], 2))):
+        label[v] = 1 << pos
+    return label, (1 << sum(c == 1 for c in counts.values())) - 1
 
 
-IDENTITY = [0] + [1 << p for p in range(4)]  # the letter v at bit v-1
+def once_xmasks(A, B, a):
+    """The x-masks of the term set, projected onto the letters used once,
+    packed in order (reference).  Every term holds x_v*y_v for each letter
+    v used twice, since a variable squares to zero."""
+    counts = Counter(A + B)
+    once = sorted(v for v, c in counts.items() if c == 1)
+    twice = mask_of((v for v, c in counts.items() if c == 2), 4)
+    out = set()
+    for xm, ym in _monomial_terms(A, B, a):
+        assert xm & ym & twice == twice, (A, B, a)
+        out.add(sum(1 << k for k, v in enumerate(once) if xm >> (v - 1) & 1))
+    return out
 
 
 def test_xmasks_match_the_term_sets_on_every_filling():
@@ -120,9 +138,9 @@ def test_xmasks_match_the_term_sets_on_every_filling():
     for t, a in every_filling():
         if max(Counter(t.row1 + t.row2).values(), default=0) > 2:
             continue  # outside the domain of _monomial_xmasks
-        got = _monomial_xmasks(t.row1, t.row2, a, IDENTITY, twice_mask(t.row1, t.row2))
+        got = _monomial_xmasks(t.row1, t.row2, a, *split_label(t.row1, t.row2))
         assert len(got) == len(set(got)), (t, a)
-        assert set(got) == {xm for xm, _ in _monomial_terms(t.row1, t.row2, a)}, (t, a)
+        assert set(got) == once_xmasks(t.row1, t.row2, a), (t, a)
         checked += 1
         cancelled += not got
     assert (checked, cancelled) == (11_629, 5_904)
@@ -133,15 +151,24 @@ def test_xmasks_match_the_term_sets_on_every_filling():
     [
         ((1, 3, 3, 4), (2,), 3, set()),  # repeated x-tail letter
         ((1, 3, 4, 4), (2,), 2, set()),  # repeated y-tail letter
-        ((1, 1, 3), (2, 2), 2, set()),  # repeated column
+        ((1, 1, 3), (2, 2), 2, set()),  # repeated column: a cycle of two
         ((2, 3), (2,), 1, set()),  # degenerate column
-        ((1, 3, 3), (2,), 2, {0b101, 0b110}),  # x3*y3*[1, 2]: 3 in both tails
-        ((1, 3, 3), (2, 4), 2, {0b101, 0b110}),  # y3*[1, 2]*[3, 4]: one free column
+        ((1, 3, 3), (2,), 2, {0b01, 0b10}),  # x3*y3*[1, 2]: 3 in both tails
+        ((1, 3, 3), (2, 4), 2, {0b001, 0b010}),  # y3*[1, 2]*[3, 4]: one free column
+        ((1, 1, 2), (2, 3, 3), 3, set()),  # a cycle of three columns
+        # [1, 2][2, 3] is x2*y2*[1, 3]; the tails on 1 and 3 pick one term
+        ((1, 2, 1, 4, 3), (2, 3), 4, {0b1}),  # x1*x4*y3: one x end, one y end
+        ((1, 2, 1, 3, 4), (2, 3), 4, set()),  # x1*x3*y4: both ends take x
+        ((1, 2, 4, 1, 3), (2, 3), 3, set()),  # x4*y1*y3: both ends take y
+        ((1, 2, 1), (2, 3), 3, {0b1}),  # x1: the far end 3 takes x
+        ((1, 2, 1), (2, 3), 2, {0b0}),  # y1: the far end 3 takes y
+        ((1, 2, 3), (2, 3, 4), 3, {0b01, 0b10}),  # [1, 2][2, 3][3, 4]: an open path
+        ((1, 3, 2), (2, 4, 3), 3, {0b01, 0b10}),  # the same path, its middle column last
     ],
 )
 def test_xmasks_of_hand_built_rows(row1, row2, a, want):
-    assert {xm for xm, _ in _monomial_terms(row1, row2, a)} == want
-    assert set(_monomial_xmasks(row1, row2, a, IDENTITY, twice_mask(row1, row2))) == want
+    assert once_xmasks(row1, row2, a) == want
+    assert set(_monomial_xmasks(row1, row2, a, *split_label(row1, row2))) == want
 
 
 def test_standard_monomial_split_point_validation():
