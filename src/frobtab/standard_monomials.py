@@ -16,8 +16,8 @@ twice carries x_v*y_v.  So ``_monomial_xmasks`` returns the terms as plain
 ints on the letters used once, relabelled, read off the paths and cycles
 that the columns form, with no product taken and nothing to cancel.
 ``_tail_masks`` is the one test for rows that cancel on their entries alone
-(it returns None for them); the term builder, the straightness test and both
-straightening loops all use it.
+(it returns None for them); the term builder and both straightening loops
+use it.
 
 For an index triple (a, b, d) the basis of the ideal-power subquotient in
 bidegree (a, b) is indexed by cap-2 semistandard tableaux through a
@@ -25,18 +25,22 @@ case-split rectification map that turns them into classical semistandard
 tableaux by swapping maximal blocks of identical columns.
 ``_rectify_rows`` and ``_exact_support_rows`` do that work on raw row
 pairs; ``rectify`` and ``exact_support_basis`` wrap them in ``Tableau``s,
-and the basis certificate reads the rows as they are.
+and the basis certificate reads the rows as they are.  Straight means in the
+image of rectification: ``rows_two_straight`` relabels its rows onto 1..m and
+looks them up in the rectified ``_exact_support_rows``, cached per
+(a, b, d, m), so straightness has no case split of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import eq, le
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
-from .tableaux import Tableau, enumerate_tableaux, rows_are_2ssyt, rows_are_ssyt
+from .tableaux import Tableau, enumerate_tableaux, rows_are_2ssyt
 
 __all__ = [
     "DomainError",
@@ -50,6 +54,10 @@ __all__ = [
     "is_two_straight",
     "rows_two_straight",
 ]
+
+
+# a pair (row1, row2) of tableau rows
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class DomainError(ValueError):
@@ -352,14 +360,12 @@ def _exact_support_rows(
 
 
 def is_two_straight(t: Tableau, idx: IndexTriple) -> bool:
-    """Whether a classical semistandard tableau indexes a rectified basis element.
+    """Whether a tableau is straight: the rectification of a tableau of
+    ``basis_index_set(idx)``.
 
-    Characterized by explicit inequalities on the rows; equivalent (and
-    tested equivalent) to membership in the image of ``rectify``.  For the
-    triple (1,1,0) every weakly increasing pair is straight: the pair (v,v)
-    is the rectification of the identical-row singleton and its monomial
-    x_v*y_v does not lie in the ideal, so the generic tail-strictness rule is
-    deliberately not applied there.
+    Every rule of the basis and of ``rectify`` only compares entries, so the
+    test moves the rows onto the letters 1..m in their order and looks them
+    up among the rectified basis rows on exactly those letters.
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
@@ -373,63 +379,31 @@ def is_two_straight(t: Tableau, idx: IndexTriple) -> bool:
 def rows_two_straight(
     A: tuple[int, ...], B: tuple[int, ...], a: int, b: int, d: int
 ) -> bool:
-    """Raw-row version of ``is_two_straight`` (no shape or alphabet checks)."""
-    r1 = a + b - d
-    if not rows_are_ssyt(A, B):
-        return False
-    if (a, b, d) == (1, 1, 0):
-        return True
-    if _tail_masks(A, B, a) is None:  # a syntactic zero
-        return False
+    """Raw-row version of ``is_two_straight`` (no shape or alphabet checks):
+    the rows, relabelled onto 1..m, are among ``_straight_rows(a, b, d, m)``."""
+    rows, letters = _relabel_rows((A, B))
+    return rows in _straight_rows(a, b, d, len(letters))
 
-    if a == b == d:
-        # square variant
-        for i0 in range(1, a - 1):
-            if A[i0] == A[i0 + 1] and not B[i0 - 1] < A[i0]:
-                return False
-        for i0 in range(a - 1):
-            if A[i0] != A[i0 + 1]:
-                continue
-            J = [j0 for j0 in range(i0, a - 2) if B[j0] != A[j0 + 2]]
-            if J:
-                if not B[J[0]] < A[J[0] + 2]:
-                    return False
-            elif not B[a - 2] < B[a - 1]:
-                return False
-        for i0 in range(a - 2):
-            if not B[i0] < B[i0 + 1]:
-                return False
-        if a >= 2 and B[a - 2] == B[a - 1]:
-            Jp = [j0 for j0 in range(2, a) if B[j0 - 2] != A[j0]]
-            if Jp:
-                j0 = max(Jp)
-                if not B[j0 - 2] < A[j0]:
-                    return False
-            elif not A[0] < A[1]:
-                return False
-        return True
 
-    # non-square variant
-    for i0 in range(1, d):
-        if A[i0] == A[i0 + 1] and not B[i0 - 1] < A[i0]:
-            return False
-    for i0 in range(d):
-        if A[i0] != A[i0 + 1]:
-            continue
-        J = [j0 for j0 in range(i0, d) if j0 + 2 <= r1 - 1 and B[j0] != A[j0 + 2]]
-        if J:
-            if not B[J[0]] < A[J[0] + 2]:
-                return False
-        elif a - 1 == b == d:
-            pass
-        elif a - 1 == b - 1 == d and i0 == 0:
-            pass
-        else:
-            return False
-    for i0 in range(d - 1):
-        if not B[i0] < B[i0 + 1]:
-            return False
-    for i0 in range(d, r1 - 1):
-        if not A[i0] < A[i0 + 1]:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _straight_rows(a: int, b: int, d: int, m: int) -> frozenset[Rows]:
+    """The straight rows of (a, b, d) whose letters are exactly 1..m: the
+    image of ``_exact_support_rows`` under ``_rectify_rows``.  Cached for the
+    life of the process; m is at most the number of entries, a + b."""
+    return frozenset(_rectify_rows(*rows, a, b, d) for rows in _exact_support_rows(a, b, d, m))
+
+
+def _relabel_rows(rows: Rows) -> tuple[Rows, list[int]]:
+    """``rows`` moved onto the letters 1..m in their order, and the m distinct
+    letters sorted; ``rows`` itself when its letters already are 1..m.
+
+    Straightness and straightening only compare entries, so the relabelled
+    rows answer for the original ones.
+    """
+    A, B = rows
+    letters = sorted({*A, *B})
+    m = len(letters)
+    if not m or letters[-1] == m:
+        return rows, letters
+    code = dict(zip(letters, range(1, m + 1)))
+    return (tuple(map(code.__getitem__, A)), tuple(map(code.__getitem__, B))), letters

@@ -17,18 +17,20 @@ exchange moves ``a``: it is the x-degree, and a new column takes one letter
 from each tail.
 
 ``two_straighten`` rewrites a semistandard tableau, modulo the (d+1)-st power
-of the minor ideal, into the straight tableaux characterized by
-``rows_two_straight``.  It is one work loop over a last-in, first-out list:
-kill syntactic zeroes, drop terms that fall into the higher ideal power,
-recurse on the prefix when the prefix itself is not straight, and otherwise
-apply one of a small family of exact or congruence moves at the junction of
-the last columns.  Each step depends on its term alone and the loop has no
-options, so every input has exactly one output sum.  Every move is either
-an exact identity or changes the element by a member of the higher ideal
-power, so the output sum is congruent to the input; the certifying oracle
-lives in ``characters``.  Every rule only compares entries, so the loop's
-memo is keyed on rows relabelled onto the letters 1..m, and a syntactic zero
-is dropped before the memo is read, so the memo holds only non-zero patterns.
+of the minor ideal, into the straight tableaux: the image of rectification,
+which ``rows_two_straight`` looks up.  It is one work loop over a last-in,
+first-out list: kill syntactic zeroes, drop terms that fall into the higher
+ideal power, recurse on the prefix when the prefix itself is not straight,
+and otherwise apply one of a small family of exact or congruence moves at the
+junction of the last columns.  Each step depends on its term alone and the
+loop has no options, so every input has exactly one output sum.  Every move
+is either an exact identity or changes the element by a member of the higher
+ideal power, so the output sum is congruent to the input; the certifying
+oracle lives in ``characters``.  Every rule only compares entries, so the
+loop's memo is keyed on rows relabelled onto the letters 1..m
+(``standard_monomials._relabel_rows``, as is the straightness lookup), and a
+syntactic zero is dropped before the memo is read, so the memo holds only
+non-zero patterns.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .gf2_exterior import ExtElement, minor, monomial
 from .standard_monomials import (
     DomainError,
     IndexTriple,
+    Rows,
     _check_split_point,
     _monomial_terms,
+    _relabel_rows,
     _tail_masks,
     rows_two_straight,
 )
@@ -110,9 +114,6 @@ class TableauSum:
 # ---------------------------------------------------------------------------
 # classical straightening
 # ---------------------------------------------------------------------------
-
-Rows = tuple[tuple[int, ...], tuple[int, ...]]
-
 
 def _normalize(A, B, a) -> Rows | None:
     """Canonical rows of a product term (each column ordered, columns and both
@@ -374,18 +375,10 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
     loop's first step; it gets that result, one step and no memo entry.
     """
     A, B = rows
-    letters = None
     if _tail_masks(A, B, a) is None:
-        hit = _ZERO_RESULT
+        key_rows, hit = rows, _ZERO_RESULT
     else:
-        letters = sorted({*A, *B})
-        m = len(letters)
-        if m and letters[-1] != m:
-            code = dict(zip(letters, range(1, m + 1)))
-            key_rows = (tuple(map(code.__getitem__, A)), tuple(map(code.__getitem__, B)))
-        else:
-            letters = None
-            key_rows = rows
+        key_rows, letters = _relabel_rows(rows)
         key = (key_rows, a, b, d)
         hit = _TS_CACHE.get(key)
         if hit is None:
@@ -395,7 +388,7 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
         raise StraighteningLimitExceeded(
             f"straightening of {rows} for (a,b,d)=({a},{b},{d}) exceeded {ITERATION_CAP} steps"
         )
-    if letters is None or not result:
+    if key_rows is rows or not result:
         return hit
     back = (0, *letters).__getitem__
     return frozenset((tuple(map(back, r1)), tuple(map(back, r2))) for r1, r2 in result), steps

@@ -81,6 +81,8 @@ class SymPoly:
 
     @classmethod
     def variable(cls, i: int, n: int) -> "SymPoly":
+        if not 1 <= i <= n:
+            raise ValueError(f"variable t{i} outside t1..t{n}")
         exps = [0] * n
         exps[i - 1] = 1
         return cls({tuple(exps): 1}, n)

@@ -6,6 +6,7 @@ from operator import eq
 
 import pytest
 
+from frobtab import standard_monomials
 from frobtab.gf2_exterior import ExtElement, mask_of, minor, monomial, x_var, y_var
 from frobtab.standard_monomials import (
     DomainError,
@@ -15,9 +16,14 @@ from frobtab.standard_monomials import (
     _tail_masks,
     basis_index_set,
     case_tag,
+    _exact_support_rows,
+    _rectify_rows,
+    _relabel_rows,
+    _straight_rows,
     exact_support_basis,
     is_two_straight,
     rectify,
+    rows_two_straight,
     standard_monomial,
     two_standard_monomial,
 )
@@ -243,6 +249,116 @@ def test_straightness_predicate_is_exactly_the_rectify_image():
                         assert is_two_straight(t, idx) == (
                             (t.row1, t.row2) in image
                         ), (idx, t)
+
+
+def _straight_by_inequalities(A, B, a, b, d):
+    """The paper's straightness rules as explicit inequalities on the rows.
+
+    A test oracle for ``rows_two_straight``, which looks rows up in the image
+    of rectification instead.  For the triple (1,1,0) every weakly increasing
+    pair is straight: (v, v) rectifies the identical-row singleton.
+    """
+    r1 = a + b - d
+    if not rows_are_ssyt(A, B):
+        return False
+    if (a, b, d) == (1, 1, 0):
+        return True
+    if _tail_masks(A, B, a) is None:  # a syntactic zero
+        return False
+    if a == b == d:
+        for i0 in range(1, a - 1):
+            if A[i0] == A[i0 + 1] and not B[i0 - 1] < A[i0]:
+                return False
+        for i0 in range(a - 1):
+            if A[i0] != A[i0 + 1]:
+                continue
+            J = [j0 for j0 in range(i0, a - 2) if B[j0] != A[j0 + 2]]
+            if J:
+                if not B[J[0]] < A[J[0] + 2]:
+                    return False
+            elif not B[a - 2] < B[a - 1]:
+                return False
+        for i0 in range(a - 2):
+            if not B[i0] < B[i0 + 1]:
+                return False
+        if a >= 2 and B[a - 2] == B[a - 1]:
+            Jp = [j0 for j0 in range(2, a) if B[j0 - 2] != A[j0]]
+            if Jp:
+                j0 = max(Jp)
+                if not B[j0 - 2] < A[j0]:
+                    return False
+            elif not A[0] < A[1]:
+                return False
+        return True
+    for i0 in range(1, d):
+        if A[i0] == A[i0 + 1] and not B[i0 - 1] < A[i0]:
+            return False
+    for i0 in range(d):
+        if A[i0] != A[i0 + 1]:
+            continue
+        J = [j0 for j0 in range(i0, d) if j0 + 2 <= r1 - 1 and B[j0] != A[j0 + 2]]
+        if J:
+            if not B[J[0]] < A[J[0] + 2]:
+                return False
+        elif not (a - 1 == b == d or a - 1 == b - 1 == d and i0 == 0):
+            return False
+    for i0 in range(d - 1):
+        if not B[i0] < B[i0 + 1]:
+            return False
+    for i0 in range(d, r1 - 1):
+        if not A[i0] < A[i0 + 1]:
+            return False
+    return True
+
+
+def test_straightness_lookup_agrees_with_the_inequality_rules():
+    checked = straight = 0
+    for a in range(0, 5):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 1):
+                    letters = set(range(1, m + 1))
+                    for t in enumerate_tableaux((a + b - d, d), max(m, 1), kind="ssyt"):
+                        if set(t.row1 + t.row2) != letters:
+                            continue
+                        want = _straight_by_inequalities(t.row1, t.row2, a, b, d)
+                        assert rows_two_straight(t.row1, t.row2, a, b, d) == want, (a, b, d, t)
+                        checked += 1
+                        straight += want
+    assert (checked, straight) == (3993, 621)
+
+
+@pytest.fixture
+def cold_straight_rows():
+    """Empty the straight-rows cache before and after the test."""
+    _straight_rows.cache_clear()
+    yield
+    _straight_rows.cache_clear()
+
+
+@pytest.mark.parametrize("a, b, d, m", [(3, 2, 1, 4), (3, 3, 3, 4), (3, 3, 2, 3), (1, 1, 0, 1)])
+def test_straightness_lookup_misses_a_dropped_basis_row(
+    monkeypatch, cold_straight_rows, a, b, d, m
+):
+    # drop the last basis row on 1..m from the lookup: the rectify image of
+    # basis_index_set, which never reads that row list, must tell
+    real = _exact_support_rows
+    dropped = _rectify_rows(*real(a, b, d, m)[-1], a, b, d)
+    monkeypatch.setattr(
+        standard_monomials,
+        "_exact_support_rows",
+        lambda *key: real(*key)[: -1 if key == (a, b, d, m) else None],
+    )
+    # the dropped rows moved onto the letters 2..m+1, so the lookup relabels
+    idx = IndexTriple(a, b, d, m + 1)
+    t = Tableau(*(tuple(v + 1 for v in row) for row in dropped), idx.n)
+    image = {(u.row1, u.row2) for u in (rectify(s, idx) for s in basis_index_set(idx))}
+    assert (t.row1, t.row2) in image
+    assert not is_two_straight(t, idx)
+    # the two disagree on exactly the tableaux with the dropped letter pattern
+    for u in enumerate_tableaux(idx.shape, idx.n, kind="ssyt"):
+        miss = is_two_straight(u, idx) != ((u.row1, u.row2) in image)
+        assert miss == (_relabel_rows((u.row1, u.row2))[0] == dropped), u
 
 
 def test_exact_support_basis_is_the_basis_on_exactly_m_letters():

@@ -78,6 +78,14 @@ def test_sympoly_str():
     assert "t1*t2" in str(p) and "t1^2" in str(p)
 
 
+def test_sympoly_variable_index_is_checked():
+    assert SymPoly.variable(1, 3) == SymPoly({(1, 0, 0): 1}, 3)
+    assert SymPoly.variable(3, 3) == SymPoly({(0, 0, 1): 1}, 3)
+    for i in (-1, 0, 4):
+        with pytest.raises(ValueError):
+            SymPoly.variable(i, 3)
+
+
 def test_squarefree_complete_is_elementary():
     # in the squarefree world the complete homogeneous sum has no choice but
     # to be multilinear, which is exactly the elementary polynomial
