@@ -58,8 +58,9 @@ Multiplying by x_V2*y_V2 maps the monomials of 1^j one to one onto those of
 basis per multilinear (d, a, b) is built on a + b letters and cached;
 every weight space of every n reads it through ``_orbit_block``, or the
 j = 0 rule.  Each block is built by peeling the last letter L: it sits in
-the monomial, as x_L or y_L times a block of the same power, or in one of
-the a + b - 1 minors on L, times a block one power below.  ``ideal_power_span``
+the monomial, as x_L or y_L times a block of the same power, or in a minor
+on L, times a block one power below, and the minors on the first d letters
+are enough (``_multilinear_block``).  ``ideal_power_span``
 keeps the brute-force spanning set over a whole bidegree, for reference.
 The two identity checks only count, orbit by orbit: formula coefficients
 (telescoping) and cap-2 tableaux on exactly 1..m (Pieri).
@@ -159,14 +160,28 @@ def _multilinear_block(d: int, a: int, b: int) -> EchelonBasis:
     """Echelon basis of the d-th ideal power in the multilinear weight space
     1^(a+b) of bidegree (a, b), on the letters 0..a+b-1.
 
-    The 0-th power is the whole weight space.  Above it, every spanning
-    product (d minors times a monomial) uses the last letter L, which peels
-    off.  Either L sits only in the monomial, and the product is x_L or y_L
-    times the d-th power on the letters without L, of bidegree (a-1, b) or
-    (a, b-1); or L sits in a minor on some p < L, and the product is that
-    minor times the (d-1)-st power on the a + b - 2 letters left, of
-    bidegree (a-1, b-1).  Blocks with a < b arise through x_L.  The cache
-    holds at most one block per (d, a, b) and never depends on n.
+    The 0-th power is the whole weight space.  Above it the block is peeled
+    at the last letter L:
+
+        Lemma.  For d >= 1 the d-th power at 1^(a+b) is spanned by x_L and
+        y_L times the d-th power on the letters without L, of bidegree
+        (a-1, b) and (a, b-1), and by the minors m_pL with p < d times the
+        (d-1)-st power on the letters without p and L, of bidegree
+        (a-1, b-1).
+
+        Proof.  Every spanning product (d minors on disjoint pairs times a
+        monomial) uses L.  If L sits in the monomial, the product is a
+        shift.  Else L sits in a minor m_pL; take p >= d.  The letters
+        0..d-1 are not p or L, and the d - 1 other minors cannot hold each
+        in a minor of its own.  So either some q < d sits in the monomial,
+        and x_q*m_pL = x_L*m_pq + x_p*m_qL (likewise for y); or two of them,
+        q and q', share a minor, and m_pL*m_qq' = m_qL*m_pq' + m_q'L*m_pq,
+        the three-term Plücker relation mod 2.  Each term is a shift of a
+        product in the d-th power without L, or m_qL with q < d times a
+        product in the (d-1)-st power without q and L.  []
+
+    Blocks with a < b arise through x_L.  The cache holds at most one block
+    per (d, a, b) and never depends on n.
     """
     if d > min(a, b):
         return EchelonBasis()
@@ -176,18 +191,14 @@ def _multilinear_block(d: int, a: int, b: int) -> EchelonBasis:
         return EchelonBasis(1 << c for c in range(len(cols)))
     # in the order of _orbit_columns, y_L keeps the columns of the block
     # below and x_L moves them past the C(j - 1, a) columns without x_L, so
-    # the two shifts stay in echelon form.  The minors on L span the block
-    # without them (x_L*m_pq = x_q*m_pL + x_p*m_qL), but these free pivots
-    # made building every block with a <= 8 about a fifth faster
+    # the two shifts stay in echelon form
     shift = comb(j - 1, a)
     block = _multilinear_block(d, a, b - 1).copy()
     for row in _multilinear_block(d, a - 1, b).rows:
         block.add(row << shift)
     below = _multilinear_block(d - 1, a - 1, b - 1).rows
     last = 1 << (j - 1)
-    for p in range(j - 1):
-        if block.rank == len(cols):
-            break
+    for p in range(d):  # d <= min(a, b) <= j - 1
         bp = 1 << p
         # images[c]: the minor x_p*y_L + x_L*y_p times the monomial of column
         # c of the block below, whose x letters are the c-th choice of a - 1

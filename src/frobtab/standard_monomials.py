@@ -229,20 +229,6 @@ def _tail_masks(A: tuple[int, ...], B: tuple[int, ...], a: int) -> tuple[int, in
     return x_tail >> 1, y_tail >> 1
 
 
-def _identical_blocks(row1: tuple[int, ...], row2: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Maximal runs [i, k] (1-based, inclusive) of columns with equal entries."""
-    blocks = []
-    j = 1
-    while j <= len(row2):
-        if row1[j - 1] == row2[j - 1]:
-            i = j
-            while j + 1 <= len(row2) and row1[j] == row2[j]:
-                j += 1
-            blocks.append((i, j))
-        j += 1
-    return blocks
-
-
 def rectify(t: Tableau, idx: IndexTriple) -> Tableau:
     """Rewrite a cap-2 semistandard tableau as a classical semistandard one.
 
@@ -256,6 +242,11 @@ def rectify(t: Tableau, idx: IndexTriple) -> Tableau:
     * a-1 = b-1 = d: shape (a+1, a-1) swaps as in the generic case; the
       identical-row square tableau first becomes the filling
       (row1 + last entry / row1 minus last entry) and is then swapped.
+
+    Every swap reads the original rows, so swapping a block is swapping each
+    of its identical columns c (0-based): row1[c+1] takes row2[c] and row2[c]
+    takes row1[c+1], or at the end of a square row1[c] takes row2[c-1] and
+    row2[c-1] takes row1[c].
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
@@ -284,20 +275,19 @@ def _rectify_rows(
     if not any(map(eq, row1, row2)):
         return row1, row2  # no identical column to swap
     new1, new2 = list(row1), list(row2)
-    square = case == CASE_ALL_EQUAL
-    for i, k in _identical_blocks(row1, row2):
-        if square and k == len(row1):
-            # block reaches the last column of a square shape; i >= 2 because
-            # the rows are not identical
-            for j in range(i, k + 1):
-                new1[j - 1] = row2[j - 2]
-            for j in range(i - 1, k):
-                new2[j - 1] = row1[j]
+    end = len(row2)
+    if case == CASE_ALL_EQUAL:
+        # the identical columns from `end` on reach the last column of the
+        # square; end >= 1 because the rows are not identical
+        while row1[end - 1] == row2[end - 1]:
+            end -= 1
+    for c in range(len(row2)):
+        if row1[c] != row2[c]:
+            continue
+        if c < end:
+            new1[c + 1], new2[c] = row2[c], row1[c + 1]
         else:
-            for j in range(i + 1, k + 2):
-                new1[j - 1] = row2[j - 2]
-            for j in range(i, k + 1):
-                new2[j - 1] = row1[j]
+            new1[c], new2[c - 1] = row2[c - 1], row1[c]
     return tuple(new1), tuple(new2)
 
 

@@ -5,14 +5,16 @@ spanning set of each ideal power over a whole bidegree, reduced weight by
 weight and over the whole bidegree at once; ``spanning_block``, each orbit
 block built from its d-fold products of minors; and ``peeled_block``, each
 orbit block built by peeling its last letter at every weight 2^i 1^j, with
-no letter of weight 2 collapsed.  The basis certificate on compressed
-supports is checked against ``element_certificate``, which reads each basis
-tableau as an ``ExtElement`` split into weight pieces: once per support, and
-through ``per_n_certificate`` on every basis tableau on n letters.  Its rows,
-x-masks on the letters used once, are checked against the (xmask, ymask)
-term sets of the same rows, projected onto those letters, one by one and
-through ``term_set_support_certificate``, the certificate as it was built
-on them.
+no letter of weight 2 collapsed and every minor on that letter.
+``lemma_peel`` builds each multilinear block from the generators of its
+lemma alone, and shows that none of them is spare.  The basis certificate
+on compressed supports is checked against ``element_certificate``, which
+reads each basis tableau as an ``ExtElement`` split into weight pieces:
+once per support, and through ``per_n_certificate`` on every basis tableau
+on n letters.  Its rows, x-masks on the letters used once, are checked
+against the (xmask, ymask) term sets of the same rows, projected onto those
+letters, one by one and through ``term_set_support_certificate``, the
+certificate as it was built on them.
 """
 
 import math
@@ -270,6 +272,46 @@ def peeled_block(d, a, b, i, j):
                 low = row & -row
                 v ^= images[low.bit_length() - 1]
                 row ^= low
+            block.add(v)
+    return block
+
+
+@lru_cache(maxsize=None)
+def lemma_peel(d, a, b, k=None, x_shift=True, y_shift=True):
+    """``_multilinear_block`` built from its lemma at the last letter L, one
+    column monomial at a time: y_L and x_L times the blocks of the same power
+    (either switchable), and the minors m_pL with p < k (k = d when None)
+    times the block one power below on the letters without p and L.  Every
+    block below is the lemma's as it stands."""
+    if d > min(a, b):
+        return EchelonBasis()
+    j = a + b
+    cols = _orbit_columns(j, a)
+    if d == 0:
+        return EchelonBasis(1 << c for c in range(len(cols)))
+    last = 1 << (j - 1)
+    # (block below, its letters in order, its x-degree, the x variables it takes)
+    parts = []
+    if y_shift:
+        parts.append((lemma_peel(d, a, b - 1), range(j - 1), a, (0,)))
+    if x_shift:
+        parts.append((lemma_peel(d, a - 1, b), range(j - 1), a - 1, (last,)))
+    for p in range(d if k is None else k):
+        letters = [t for t in range(j - 1) if t != p]
+        parts.append((lemma_peel(d - 1, a - 1, b - 1), letters, a - 1, (1 << p, last)))
+    block = EchelonBasis()
+    for below, letters, ax, xvars in parts:
+        images = {}
+        for local, c in _orbit_columns(len(letters), ax).items():
+            xm = sum(1 << t for s, t in enumerate(letters) if local >> s & 1)
+            images[c] = 0
+            for x in xvars:
+                images[c] ^= 1 << cols[xm | x]
+        for row in below.rows:
+            v = 0
+            for c in range(row.bit_length()):
+                if row >> c & 1:
+                    v ^= images[c]
             block.add(v)
     return block
 
@@ -569,6 +611,49 @@ def test_orbit_blocks_match_the_peel_at_every_weight(peeled):
                     assert all(oracle.contains(row) for row in block.rows), (d, a, b, i, j)
                     checked += 1
     assert checked == 1080
+
+
+@pytest.fixture(scope="module")
+def lemma():
+    """``lemma_peel``, its cache freed after the module's tests."""
+    yield lemma_peel
+    lemma_peel.cache_clear()
+
+
+def test_multilinear_blocks_are_the_lemma_peel(lemma):
+    # every block with a, b <= 6 in both orders, including d = min(a, b) + 1
+    checked = 0
+    for a in range(0, 7):
+        for b in range(0, 7):
+            for d in range(0, min(a, b) + 2):
+                block, oracle = _multilinear_block(d, a, b), lemma(d, a, b)
+                assert block.rank == oracle.rank, (d, a, b)
+                assert all(block.contains(row) for row in oracle.rows), (d, a, b)
+                checked += 1
+    assert checked == 189
+
+
+@pytest.mark.parametrize(
+    "switch, below, lowered",
+    [
+        (lambda d: {"k": d - 1}, lambda d, a, b: (d - 1, a - 1, b - 1), 91),
+        (lambda d: {"y_shift": False}, lambda d, a, b: (d, a, b - 1), 70),
+        (lambda d: {"x_shift": False}, lambda d, a, b: (d, a - 1, b), 70),
+    ],
+    ids=["one-minor-family-fewer", "no-y_L-shift", "no-x_L-shift"],
+)
+def test_the_lemma_is_tight(lemma, switch, below, lowered):
+    # on every block with d >= 1 and a, b <= 6, dropping the minor family
+    # m_(d-1)L or either shift lowers the rank whenever the dropped rows are
+    # not empty: no generator of the lemma is spare
+    count = 0
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for d in range(1, min(a, b) + 1):
+                short = lemma(d, a, b, **switch(d)).rank < _multilinear_block(d, a, b).rank
+                assert short == bool(_multilinear_block(*below(d, a, b)).rank), (d, a, b)
+                count += short
+    assert count == lowered
 
 
 def test_subquotients_vanish_where_the_collapse_says(peeled):
