@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import eq, le
+from operator import eq, lt
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
-from .tableaux import Tableau, enumerate_tableaux, rows_are_2ssyt
+from .tableaux import Tableau, _unchecked_tableau, enumerate_tableaux, rows_are_2ssyt
 
 __all__ = [
     "DomainError",
@@ -250,7 +250,7 @@ def rectify(t: Tableau, idx: IndexTriple) -> Tableau:
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
-    return Tableau(*_rectify_rows(t.row1, t.row2, idx.a, idx.b, idx.d), t.n)
+    return _unchecked_tableau(*_rectify_rows(t.row1, t.row2, idx.a, idx.b, idx.d), t.n)
 
 
 def _rectify_rows(
@@ -307,7 +307,7 @@ def basis_index_set(idx: IndexTriple) -> list[Tableau]:
         ]
     if case == CASE_OFF_BY_ONE:
         out = enumerate_tableaux((idx.a + 1, idx.a - 1), idx.n, "2ssyt")
-        out += [Tableau(r, r, idx.n) for r in combinations(range(1, idx.n + 1), idx.a)]
+        out += [_unchecked_tableau(r, r, idx.n) for r in combinations(range(1, idx.n + 1), idx.a)]
         return out
     return enumerate_tableaux(idx.shape, idx.n, "2ssyt")
 
@@ -320,17 +320,28 @@ def exact_support_basis(a: int, b: int, d: int, m: int) -> list[Tableau]:
     basis at any n is the union, over the m-letter subsets of 1..n, of these
     tableaux moved onto each subset in order.
     """
-    return [Tableau(row1, row2, max(m, 1)) for row1, row2 in _exact_support_rows(a, b, d, m)]
+    n = max(m, 1)
+    return [_unchecked_tableau(row1, row2, n) for row1, row2 in _exact_support_rows(a, b, d, m)]
 
 
 def _exact_support_rows(
     a: int, b: int, d: int, m: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (row1, row2) pairs of ``exact_support_basis``, built directly:
-    row 2 holds every letter that row 1 misses, plus len2 - (m - len1)
-    letters of row 1.  The cases follow ``basis_index_set``: a = b = d drops
-    identical rows, and a - 1 = b - 1 = d adds the square (1..a / 1..a) when
-    m = a.
+    row 2 holds every letter that row 1 misses, plus ``shared`` =
+    len2 - (m - len1) letters of row 1.  The cases follow
+    ``basis_index_set``: a = b = d drops identical rows, and
+    a - 1 = b - 1 = d adds the square (1..a / 1..a) when m = a.
+
+    Only kept rows are built.  The columns hold (row1[c] <= row2[c] for
+    every c) exactly when, below each letter, row 2 has no more letters than
+    row 1.  That is tightest just above a missing letter: if q is the r-th
+    missing letter, row 1 holds the q - r letters below q, so at most
+    q - 2r shared letters lie below q, and from the (q - 2r + 1)-st on each
+    must exceed q (``above``).  A row 1 with q < 2r has no row 2; for the
+    others, the choices of shared letters (from ``combinations``, in order)
+    that clear ``above`` are exactly the kept ones, and only they are merged
+    and sorted into a row 2.
     """
     case = classify_triple(a, b, d)
     len1, len2 = a + b - d, d
@@ -339,11 +350,19 @@ def _exact_support_rows(
     if shared >= 0:
         letters = set(range(1, m + 1))
         for row1 in combinations(range(1, m + 1), len1):
-            missing = letters.difference(row1)
-            for extra in combinations(row1, shared):
-                row2 = tuple(sorted(missing.union(extra)))
-                if all(map(le, row1, row2)) and not (case == CASE_ALL_EQUAL and row1 == row2):
-                    out.append((row1, row2))
+            missing = tuple(sorted(letters.difference(row1)))
+            above = [0] * shared
+            for r, q in enumerate(missing, 1):
+                if q < 2 * r:
+                    break
+                for j in range(q - 2 * r, shared):
+                    above[j] = q
+            else:
+                for extra in combinations(row1, shared):
+                    if all(map(lt, above, extra)):
+                        row2 = tuple(sorted(missing + extra))
+                        if not (case == CASE_ALL_EQUAL and row1 == row2):
+                            out.append((row1, row2))
     if case == CASE_OFF_BY_ONE and m == a:
         out.append((tuple(range(1, a + 1)), tuple(range(1, a + 1))))
     return out

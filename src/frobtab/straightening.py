@@ -48,7 +48,7 @@ from .standard_monomials import (
     _tail_masks,
     rows_two_straight,
 )
-from .tableaux import Tableau, rows_are_ssyt
+from .tableaux import Tableau, _unchecked_tableau, rows_are_ssyt
 
 __all__ = [
     "TableauSum",
@@ -193,7 +193,7 @@ def classical_straighten(t: Tableau, a: int) -> TableauSum:
     if any(t.row1[i] >= t.row2[i] for i in range(len(t.row2))):
         raise DomainError(f"columns must strictly increase: {t}")
     terms, _ = _classical_terms(t.row1, t.row2, a)
-    tabs = frozenset(Tableau(A, B, t.n) for A, B in terms)
+    tabs = frozenset(_unchecked_tableau(A, B, t.n) for A, B in terms)
     return TableauSum(tabs, a, t.n)
 
 
@@ -476,5 +476,5 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     if not rows_are_ssyt(t.row1, t.row2):
         raise DomainError(f"input must be semistandard: {t}")
     rows_out, _ = _ts((t.row1, t.row2), idx.a, idx.b, idx.d)
-    terms = frozenset(Tableau(r1, r2, t.n) for r1, r2 in rows_out)
+    terms = frozenset(_unchecked_tableau(r1, r2, t.n) for r1, r2 in rows_out)
     return TableauSum(terms, idx.a, t.n)

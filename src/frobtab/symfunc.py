@@ -26,6 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .tableaux import (
     Tableau,
+    _unchecked_tableau,
     enumerate_column_strict,
     enumerate_tableaux,
     is_2ssyt,
@@ -413,7 +414,7 @@ def unpromotable_tableaux(a: int, i: int, n: int) -> list[Tableau]:
 def _reslice(row1: Sequence[int], row2: Sequence[int], j: int, twoi: int, n: int) -> Tableau:
     new1 = tuple(row1[: j + twoi]) + tuple(row2[j - 1 :])
     new2 = tuple(row2[: j - 1]) + tuple(row1[j + twoi :])
-    return Tableau(new1, new2, n)
+    return _unchecked_tableau(new1, new2, n)
 
 
 def promote(t: Tableau) -> Tableau:

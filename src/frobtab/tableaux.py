@@ -2,6 +2,11 @@
 
 A ``Tableau`` is an arbitrary two-row filling (validation of monotonicity is
 left to the predicates, since rewriting passes intermediate fillings around).
+The package validates at its boundary: ``Tableau(...)`` and ``parse_tableau``
+check the shape, the alphabet size and every entry.  Rows the package builds
+itself, from ``range(1, n + 1)`` or by rearranging the entries of a tableau
+that is already valid, go through ``_unchecked_tableau``, which makes the same
+frozen object without the checks (they cost more than the object itself).
 Two predicates matter:
 
 * ``is_ssyt`` — the classical condition: rows weakly increase, columns
@@ -56,11 +61,11 @@ class Tableau:
         object.__setattr__(self, "row2", tuple(self.row2))
         if len(self.row2) > len(self.row1):
             raise ValueError("second row longer than first")
-        if not 1 <= self.n:
-            raise ValueError("need n >= 1")
+        if not _is_int(self.n) or not 1 <= self.n <= MAX_N:
+            raise ValueError(f"need an int n in 1..{MAX_N}, got {self.n!r}")
         for v in self.row1 + self.row2:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"entry {v} out of range 1..{self.n}")
+            if not _is_int(v) or not 1 <= v <= self.n:
+                raise ValueError(f"entry {v!r} is not an int in 1..{self.n}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -68,6 +73,31 @@ class Tableau:
 
     def __str__(self) -> str:
         return format_tableau(self)
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# the slot descriptors' setters
+_set_row1 = Tableau.row1.__set__
+_set_row2 = Tableau.row2.__set__
+_set_n = Tableau.n.__set__
+
+
+def _unchecked_tableau(row1: tuple[int, ...], row2: tuple[int, ...], n: int) -> Tableau:
+    """``Tableau(row1, row2, n)`` without its checks, for rows the package
+    builds itself: tuples of ints in 1..n, ``row2`` no longer than ``row1``.
+
+    The slots are filled through their descriptors, which the frozen
+    ``__setattr__`` does not guard, so the object compares, hashes and
+    refuses assignment like a checked one.
+    """
+    t = object.__new__(Tableau)
+    _set_row1(t, row1)
+    _set_row2(t, row2)
+    _set_n(t, n)
+    return t
 
 
 def rows_are_ssyt(row1: Sequence[int], row2: Sequence[int]) -> bool:
@@ -115,11 +145,13 @@ def enumerate_tableaux(shape: tuple[int, int], n: int, kind: str = "ssyt") -> li
     ``combinations_with_replacement`` for the weak rows of classical ones.
     Both yield their rows in lexicographic order, and the bottom row varies
     fastest, so the result is ordered by (row1, row2) and free of duplicates.
-    A bottom row starts at the least letter the first column allows (``row1[0]``
-    for cap-2, ``row1[0] + 1`` for classical); the other columns are filtered.
-    The bottom rows from each letter are built once and shared by every top
-    row: classical shapes reject most candidates on a later column, and
-    building the candidates anew for each top row made them slower.
+    Whether a bottom row fits under a top row depends only on the top row's
+    head ``row1[:len2]``, and the top rows come in lexicographic order, so
+    the rows sharing a head are consecutive: the bottom rows that fit a head
+    are found once, from the rows that start at the least letter its first
+    column allows (``head[0]`` for cap-2, ``head[0] + 1`` for classical), and
+    reused for each top row with that head.  The rows are valid by
+    construction, so the tableaux are built unchecked.
     """
     if kind not in ("ssyt", "2ssyt"):
         raise ValueError(f"unknown tableau kind {kind!r}")
@@ -135,12 +167,19 @@ def enumerate_tableaux(shape: tuple[int, int], n: int, kind: str = "ssyt") -> li
     else:
         rows, column, gap = combinations_with_replacement, lt, 1
     bottoms = {lo: list(rows(range(lo, n + 1), len2)) for lo in range(1, n + 2)}
-    return [
-        Tableau(row1, row2, n)
-        for row1 in rows(range(1, n + 1), len1)
-        for row2 in bottoms[row1[0] + gap if row1 else 1]
-        if all(map(column, row1, row2))
-    ]
+    out: list[Tableau] = []
+    head: tuple[int, ...] | None = None
+    fits: list[tuple[int, ...]] = []
+    for row1 in rows(range(1, n + 1), len1):
+        if row1[:len2] != head:
+            head = row1[:len2]
+            fits = [
+                row2
+                for row2 in bottoms[head[0] + gap if head else 1]
+                if all(map(column, head, row2))
+            ]
+        out += [_unchecked_tableau(row1, row2, n) for row2 in fits]
+    return out
 
 
 def transpose_shape(shape: tuple[int, int]) -> tuple[int, ...]:

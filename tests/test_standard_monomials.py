@@ -2,7 +2,7 @@
 
 import itertools
 from collections import Counter
-from operator import eq
+from operator import eq, le
 
 import pytest
 
@@ -27,6 +27,7 @@ from frobtab.standard_monomials import (
     standard_monomial,
     two_standard_monomial,
 )
+from frobtab.symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
 from frobtab.tableaux import Tableau, enumerate_tableaux, rows_are_ssyt, weight
 
 
@@ -359,6 +360,40 @@ def test_straightness_lookup_misses_a_dropped_basis_row(
     for u in enumerate_tableaux(idx.shape, idx.n, kind="ssyt"):
         miss = is_two_straight(u, idx) != ((u.row1, u.row2) in image)
         assert miss == (_relabel_rows((u.row1, u.row2))[0] == dropped), u
+
+
+def filtered_support_rows(a, b, d, m):
+    """``_exact_support_rows`` as it was before it built only kept rows: every
+    choice of shared letters, sorted into a row 2 and filtered on the
+    columns."""
+    case = classify_triple(a, b, d)
+    len1, len2 = a + b - d, d
+    shared = len2 - (m - len1)
+    out = []
+    if shared >= 0:
+        letters = set(range(1, m + 1))
+        for row1 in itertools.combinations(range(1, m + 1), len1):
+            missing = letters.difference(row1)
+            for extra in itertools.combinations(row1, shared):
+                row2 = tuple(sorted(missing.union(extra)))
+                if all(map(le, row1, row2)) and not (case == CASE_ALL_EQUAL and row1 == row2):
+                    out.append((row1, row2))
+    if case == CASE_OFF_BY_ONE and m == a:
+        out.append((tuple(range(1, a + 1)), tuple(range(1, a + 1))))
+    return out
+
+
+def test_exact_support_rows_equal_the_filtered_rows_in_order():
+    checked = rows = 0
+    for a in range(0, 8):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 2):
+                    got = _exact_support_rows(a, b, d, m)
+                    assert got == filtered_support_rows(a, b, d, m), (a, b, d, m)
+                    checked += 1
+                    rows += len(got)
+    assert (checked, rows) == (1290, 96288)
 
 
 def test_exact_support_basis_is_the_basis_on_exactly_m_letters():

@@ -1,10 +1,15 @@
 """Two-row tableaux, the cap-2 condition, enumeration, and text form."""
 
 import itertools
+from dataclasses import FrozenInstanceError
+from operator import le, lt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from frobtab.standard_monomials import IndexTriple, basis_index_set, exact_support_basis, rectify
+from frobtab.straightening import classical_straighten, two_straighten
+from frobtab.symfunc import demote, promotable_tableaux, promote, unpromotable_tableaux
 from frobtab.tableaux import (
     Tableau,
     enumerate_column_strict,
@@ -32,6 +37,31 @@ def test_tableau_validation():
         Tableau((0, 1), (), 4)  # entries must be >= 1
     with pytest.raises(ValueError):
         Tableau((1, 5), (), 4)  # entries must be <= n
+
+
+@pytest.mark.parametrize(
+    "row1, row2, n",
+    [
+        ((1.5,), (), 3),  # an entry that is not an int
+        ((2.0,), (), 3),
+        ((True, 2), (), 3),  # a bool is not an entry
+        ((1, 2), (False,), 3),
+        ((1,), (), 40),  # more letters than MAX_N = 32
+        ((1,), (), 33),
+        ((1,), (), 0),
+        ((1,), (), 2.5),  # an n that is not an int
+        ((1,), (), True),  # a bool is not an n
+        ((1,), (), "3"),
+    ],
+)
+def test_tableau_rejects_entries_and_n_that_are_not_ints_in_range(row1, row2, n):
+    with pytest.raises(ValueError):
+        Tableau(row1, row2, n)
+
+
+def test_tableau_accepts_every_alphabet_size_up_to_max_n():
+    assert Tableau((1, 32), (32,), 32).n == 32
+    assert Tableau([1, 2], [2], 2).row1 == (1, 2)  # rows become tuples
 
 
 def test_classical_ssyt_predicate():
@@ -113,6 +143,100 @@ def test_enumeration_matches_the_column_strict_oracle():
                     for f in enumerate_column_strict(transpose_shape((r1, r2)), n)
                 ]
                 assert cap2 == sorted(expect), ((r1, r2), n)
+
+
+def filtered_enumeration(shape, n, kind):
+    """The enumerator as it was before its rows were grouped by head: every
+    bottom row from the first column's least letter, filtered on the other
+    columns, each tableau built by the checked constructor."""
+    len1, len2 = shape
+    if kind == "2ssyt":
+        rows, column, gap = itertools.combinations, le, 0
+    else:
+        rows, column, gap = itertools.combinations_with_replacement, lt, 1
+    bottoms = {lo: list(rows(range(lo, n + 1), len2)) for lo in range(1, n + 2)}
+    return [
+        Tableau(row1, row2, n)
+        for row1 in rows(range(1, n + 1), len1)
+        for row2 in bottoms[row1[0] + gap if row1 else 1]
+        if all(map(column, row1, row2))
+    ]
+
+
+@pytest.mark.parametrize("kind", ["ssyt", "2ssyt"])
+def test_enumeration_equals_the_filtered_checked_enumerator(kind):
+    shapes = 0
+    for n in range(1, 8):
+        for r1 in range(0, 7):
+            for r2 in range(0, r1 + 1):
+                got = enumerate_tableaux((r1, r2), n, kind=kind)
+                want = filtered_enumeration((r1, r2), n, kind)
+                assert got == want, ((r1, r2), n)
+                assert [(t.row1, t.row2) for t in got] == [(t.row1, t.row2) for t in want]
+                shapes += 1
+    assert shapes == 7 * 28
+
+
+def assert_built_like_checked(tableaux):
+    count = 0
+    for t in tableaux:
+        assert type(t.row1) is tuple and type(t.row2) is tuple, t
+        checked = Tableau(t.row1, t.row2, t.n)
+        assert t == checked and hash(t) == hash(checked), t
+        with pytest.raises(FrozenInstanceError):
+            t.row1 = t.row2
+        with pytest.raises(FrozenInstanceError):
+            t.n = t.n
+        count += 1
+    return count
+
+
+def test_every_internal_producer_builds_tableaux_like_the_checked_constructor():
+    built = dict.fromkeys(
+        ["enumerate", "exact_support", "basis", "rectify", "two_straighten", "classical", "promote"], 0
+    )
+    for kind in ("ssyt", "2ssyt"):
+        for n in range(1, 6):
+            for r1 in range(0, 5):
+                for r2 in range(0, r1 + 1):
+                    built["enumerate"] += assert_built_like_checked(
+                        enumerate_tableaux((r1, r2), n, kind)
+                    )
+    for a in range(0, 5):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 1):
+                    built["exact_support"] += assert_built_like_checked(exact_support_basis(a, b, d, m))
+                for n in range(1, 6):
+                    idx = IndexTriple(a, b, d, n)
+                    basis = basis_index_set(idx)
+                    built["basis"] += assert_built_like_checked(basis)
+                    built["rectify"] += assert_built_like_checked(rectify(t, idx) for t in basis)
+                    if a <= 3:
+                        for t in enumerate_tableaux(idx.shape, n):
+                            built["two_straighten"] += assert_built_like_checked(
+                                two_straighten(t, idx).terms
+                            )
+    for t in (Tableau((3, 1, 2), (4, 5), 5), Tableau((2, 1, 3, 1), (4, 3), 5)):
+        built["classical"] += assert_built_like_checked(classical_straighten(t, 3).terms)
+    for a in range(1, 4):
+        for i in range(0, a):
+            built["promote"] += assert_built_like_checked(
+                promote(t) for t in promotable_tableaux(a, i, 5)
+            )
+            if i >= 1:
+                built["promote"] += assert_built_like_checked(
+                    demote(t) for t in unpromotable_tableaux(a, i, 5)
+                )
+    assert built == {
+        "enumerate": 3927,
+        "exact_support": 621,
+        "basis": 825,
+        "rectify": 825,
+        "two_straighten": 812,
+        "classical": 6,
+        "promote": 185,
+    }
 
 
 def test_known_enumeration_count():
