@@ -40,7 +40,7 @@ from operator import eq, lt
 
 from .gf2_exterior import MAX_N, ExtElement, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
-from .tableaux import Tableau, _unchecked_tableau, enumerate_tableaux, rows_are_2ssyt
+from .tableaux import Tableau, _is_int, _unchecked_tableau, enumerate_tableaux, rows_are_2ssyt
 
 __all__ = [
     "DomainError",
@@ -74,6 +74,9 @@ class IndexTriple:
     n: int
 
     def __post_init__(self) -> None:
+        for field in (self.a, self.b, self.d, self.n):
+            if not _is_int(field):
+                raise DomainError(f"index triple fields must be ints, got {field!r}")
         if not self.a >= self.b >= self.d >= 0:
             raise DomainError(f"need a >= b >= d >= 0, got {(self.a, self.b, self.d)}")
         if not 1 <= self.n <= MAX_N:

@@ -101,6 +101,8 @@ class TableauSum:
     def element_sum(self) -> ExtElement:
         terms: set[tuple[int, int]] = set()
         for t in self.terms:
+            if t.n != self.n:
+                raise DomainError(f"term {t} over n={t.n} in a sum over n={self.n}")
             _check_split_point(t, self.a)
             terms ^= _monomial_terms(t.row1, t.row2, self.a)
         return ExtElement(terms, self.n)
@@ -132,13 +134,13 @@ def _normalize(A, B, a) -> Rows | None:
     return (A, B)
 
 
-def _classical_terms(row1, row2, a) -> tuple[set[Rows], int]:
+def _classical_terms(row1, row2, a) -> set[Rows]:
     """Straighten a column-strict filling; returns the GF(2) set of
-    semistandard normalized rows across all strata, and the step count."""
+    semistandard normalized rows across all strata."""
     start = _normalize(row1, row2, a)
     out: set[Rows] = set()
     if start is None:
-        return out, 0
+        return out
     work = [start]
     iters = 0
     while work:
@@ -180,7 +182,7 @@ def _classical_terms(row1, row2, a) -> tuple[set[Rows], int]:
             cand = _normalize(A, B, a)
             if cand is not None:
                 work.append(cand)
-    return out, iters
+    return out
 
 
 def classical_straighten(t: Tableau, a: int) -> TableauSum:
@@ -192,7 +194,7 @@ def classical_straighten(t: Tableau, a: int) -> TableauSum:
     _check_split_point(t, a)
     if any(t.row1[i] >= t.row2[i] for i in range(len(t.row2))):
         raise DomainError(f"columns must strictly increase: {t}")
-    terms, _ = _classical_terms(t.row1, t.row2, a)
+    terms = _classical_terms(t.row1, t.row2, a)
     tabs = frozenset(_unchecked_tableau(A, B, t.n) for A, B in terms)
     return TableauSum(tabs, a, t.n)
 
@@ -273,10 +275,8 @@ def interlocked_triple(t: Tableau) -> tuple[Tableau, Tableau]:
 # cap-2 straightening
 # ---------------------------------------------------------------------------
 
-# (relabelled rows, a, b, d) -> (straight rows, step count); see ``_ts``
-_TS_CACHE: dict[tuple, tuple[frozenset[Rows], int]] = {}
-# what ``_ts_loop`` returns for a syntactic zero: no rows, after one step
-_ZERO_RESULT: tuple[frozenset[Rows], int] = (frozenset(), 1)
+# (relabelled rows, a, b, d) -> straight rows; see ``_ts``
+_TS_CACHE: dict[tuple, frozenset[Rows]] = {}
 
 
 def _square_junction(A, B, a) -> list[Rows] | None:
@@ -361,44 +361,34 @@ def _short_tail_junction(A, B, d) -> list[Rows] | None:
     return [(new1, new2)]
 
 
-def _ts(rows: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
-    """Straight rows for ``rows`` and the step count of the call.
+def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
+    """Straight rows for ``rows``.
 
     The memo is keyed on the rows relabelled onto the letters 1..m in their
     order (m distinct letters): every rule here only compares entries, so the
-    result for other letters is the relabelled result mapped back.  The step
-    count is the most loop iterations of this call or of any classical or
-    prefix sub-call; a memo hit is charged it, so whether ``ITERATION_CAP`` is
-    reached depends on the input and the cap only.
-
-    The input is always semistandard, so a syntactic zero is dropped by the
-    loop's first step; it gets that result, one step and no memo entry.
+    result for other letters is the relabelled result mapped back.  A
+    syntactic zero (the input is semistandard, so the loop's first step would
+    drop it) gets no rows and no memo entry.
     """
     A, B = rows
     if _tail_masks(A, B, a) is None:
-        key_rows, hit = rows, _ZERO_RESULT
-    else:
-        key_rows, letters = _relabel_rows(rows)
-        key = (key_rows, a, b, d)
-        hit = _TS_CACHE.get(key)
-        if hit is None:
-            hit = _TS_CACHE[key] = _ts_loop(rows, key_rows, a, b, d)
-    result, steps = hit
-    if steps > ITERATION_CAP:
-        raise StraighteningLimitExceeded(
-            f"straightening of {rows} for (a,b,d)=({a},{b},{d}) exceeded {ITERATION_CAP} steps"
-        )
+        return frozenset()
+    key_rows, letters = _relabel_rows(rows)
+    key = (key_rows, a, b, d)
+    result = _TS_CACHE.get(key)
+    if result is None:
+        result = _TS_CACHE[key] = _ts_loop(rows, key_rows, a, b, d)
     if key_rows is rows or not result:
-        return hit
+        return result
     back = (0, *letters).__getitem__
-    return frozenset((tuple(map(back, r1)), tuple(map(back, r2))) for r1, r2 in result), steps
+    return frozenset((tuple(map(back, r1)), tuple(map(back, r2))) for r1, r2 in result)
 
 
-def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> tuple[frozenset[Rows], int]:
+def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
     """The work loop of ``_ts`` from ``start``; ``rows`` names the input in errors."""
     queue: list[Rows] = [start]
     out: set[Rows] = set()
-    iters = steps = 0
+    iters = 0
     while queue:
         iters += 1
         if iters > ITERATION_CAP:
@@ -410,9 +400,7 @@ def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> tuple[frozenset
         if not rows_are_ssyt(A, B):
             # exact classical rewrite; terms in higher strata lie in the
             # higher ideal power and are dropped
-            terms, sub_steps = _classical_terms(A, B, a)
-            steps = max(steps, sub_steps)
-            queue.extend(r for r in terms if len(r[1]) == d)
+            queue.extend(r for r in _classical_terms(A, B, a) if len(r[1]) == d)
             continue
         if _tail_masks(A, B, a) is None:  # a syntactic zero
             continue
@@ -434,9 +422,7 @@ def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> tuple[frozenset
         prefix = (A[:-1], B[: pidx[2]])
         if not rows_two_straight(*prefix, *pidx):
             box1, box2 = A[-1:], B[pidx[2] :]
-            sub, sub_steps = _ts(prefix, *pidx)
-            steps = max(steps, sub_steps)
-            for s1, s2 in sub:
+            for s1, s2 in _ts(prefix, *pidx):
                 queue.append((s1 + box1, s2 + box2))
             continue
         # junction moves
@@ -449,7 +435,7 @@ def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> tuple[frozenset
                 f"no junction move applies to {A}/{B} for (a,b,d)=({a},{b},{d})"
             )
         queue.extend(moved)
-    return frozenset(out), max(iters, steps)
+    return frozenset(out)
 
 
 def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
@@ -464,10 +450,9 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     on the rows relabelled onto the letters 1..m in their order, so the memo
     holds one entry per letter pattern, on at most a + b letters whatever n
     is.  Syntactic zeros are dropped before the memo is read and get no
-    entry.  Each entry keeps the step count of the work that made it and a hit is
-    charged that count, so whether a call reaches ``ITERATION_CAP`` (and
-    raises ``StraighteningLimitExceeded``) depends only on its input and the
-    cap, not on what was straightened earlier in the process.
+    entry.  Each work loop, classical and prefix sub-loops included, raises
+    ``StraighteningLimitExceeded`` once its own iterations pass
+    ``ITERATION_CAP``, so the memo holds only the results of finished loops.
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")
@@ -475,6 +460,6 @@ def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
         raise DomainError(f"tableau shape {t.shape}, expected {idx.shape}")
     if not rows_are_ssyt(t.row1, t.row2):
         raise DomainError(f"input must be semistandard: {t}")
-    rows_out, _ = _ts((t.row1, t.row2), idx.a, idx.b, idx.d)
+    rows_out = _ts((t.row1, t.row2), idx.a, idx.b, idx.d)
     terms = frozenset(_unchecked_tableau(r1, r2, t.n) for r1, r2 in rows_out)
     return TableauSum(terms, idx.a, t.n)

@@ -155,6 +155,8 @@ def enumerate_tableaux(shape: tuple[int, int], n: int, kind: str = "ssyt") -> li
     """
     if kind not in ("ssyt", "2ssyt"):
         raise ValueError(f"unknown tableau kind {kind!r}")
+    if not _is_int(n):
+        raise ValueError(f"need an int n, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_N:

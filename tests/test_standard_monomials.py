@@ -192,6 +192,10 @@ def test_index_triple_validation():
     with pytest.raises(DomainError):
         IndexTriple(2, 1, 2, 4)  # d > b
     assert IndexTriple(3, 2, 1, 4).shape == (4, 1)
+    # a bool would pass the range checks, and a float would fail only inside comb
+    for fields in [(2, 1, 0, True), (2.0, 1, 0, 3), (2, 1, False, 3), (2, 1, 0, "3")]:
+        with pytest.raises(DomainError, match="must be ints"):
+            IndexTriple(*fields)
 
 
 def test_case_tags():

@@ -99,6 +99,9 @@ def test_tableau_sum_basics():
     # a term whose columns lie past the split point is outside the element map
     with pytest.raises(DomainError):
         TableauSum(frozenset([t, Tableau((1, 2), (2,), 3)]), 0, 3).element_sum()
+    # a term over another alphabet is not an element of this ring
+    with pytest.raises(DomainError, match="n=3 in a sum over n=2"):
+        TableauSum(frozenset([Tableau((1,), (), 3)]), 1, 2).element_sum()
 
 
 def test_collapse_interlocked_golden_example():
@@ -309,7 +312,7 @@ def test_two_straighten_commutes_with_spreading_the_letters(monkeypatch):
 
     monkeypatch.setattr(straightening, "_ts", raw_ts)
     for row1, row2, idx, got in cases:
-        assert set(raw_ts((row1, row2), idx.a, idx.b, idx.d)[0]) == got, (idx, row1, row2)
+        assert set(raw_ts((row1, row2), idx.a, idx.b, idx.d)) == got, (idx, row1, row2)
 
 
 def test_straightening_memo_does_not_grow_with_the_alphabet(monkeypatch):
@@ -327,37 +330,32 @@ def test_straightening_memo_does_not_grow_with_the_alphabet(monkeypatch):
         assert _tail_masks(A, B, a) is not None, (A, B, a)
 
 
-def test_iteration_cap_does_not_depend_on_earlier_calls(monkeypatch):
-    monkeypatch.setattr(straightening, "_TS_CACHE", {})
-    t = Tableau((1, 2, 2, 4, 5), (3, 3, 6, 7, 7), 7)
-    idx = IndexTriple(5, 5, 5, 7)
-    assert len(two_straighten(t, idx)) == 2
-    # the memo now holds this call; a hit must still be charged its steps
-    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
-    with pytest.raises(StraighteningLimitExceeded, match="exceeded 0 steps"):
-        two_straighten(t, idx)
-    wide = Tableau(tuple(3 * v for v in t.row1), tuple(3 * v for v in t.row2), 21)
-    with pytest.raises(StraighteningLimitExceeded, match="exceeded 0 steps"):
-        two_straighten(wide, IndexTriple(5, 5, 5, 21))
-
-
-def test_a_call_raises_exactly_when_the_cap_is_below_its_steps(monkeypatch):
-    # the step count covers the sub-calls, and a memo hit is charged it
+def test_cap_zero_raises_on_every_input_that_is_not_a_syntactic_zero(monkeypatch):
+    # each work loop checks its own iterations against the cap, and only
+    # finished loops reach the memo; a syntactic zero runs no loop
+    cases = [case for n in range(1, 6) for case in semistandard_cases(4, n)]
     cap = straightening.ITERATION_CAP
-    for t, idx in semistandard_cases(4, 5):
-        monkeypatch.setattr(straightening, "_TS_CACHE", {})
-        rows = (t.row1, t.row2)
-        steps = straightening._ts(rows, idx.a, idx.b, idx.d)[1]
-        # syntactic zeros skip the loop and must be charged what it counts
-        assert steps == straightening._ts_loop(rows, rows, idx.a, idx.b, idx.d)[1], (t, idx)
-        for memo in ({}, straightening._TS_CACHE):
-            monkeypatch.setattr(straightening, "_TS_CACHE", memo)
-            monkeypatch.setattr(straightening, "ITERATION_CAP", steps - 1)
-            with pytest.raises(StraighteningLimitExceeded):
+    monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
+    for t, idx in cases:
+        if _tail_masks(t.row1, t.row2, idx.a) is None:
+            assert not two_straighten(t, idx).terms, (t, idx)
+        else:
+            with pytest.raises(StraighteningLimitExceeded, match="exceeded 0 steps"):
                 two_straighten(t, idx)
-            monkeypatch.setattr(straightening, "ITERATION_CAP", steps)
-            two_straighten(t, idx)
-        monkeypatch.setattr(straightening, "ITERATION_CAP", cap)
+        assert straightening._TS_CACHE == {}, (t, idx)
+    # the default cap never raises, from a cold memo
+    monkeypatch.setattr(straightening, "ITERATION_CAP", cap)
+    for t, idx in cases:
+        two_straighten(t, idx)
+
+
+def test_classical_straighten_raises_at_cap_zero(monkeypatch):
+    t = Tableau((1, 2), (4, 3), 4)  # the exchange makes two terms
+    assert len(classical_straighten(t, 2)) == 2
+    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
+    with pytest.raises(StraighteningLimitExceeded, match="classical .* exceeded 0 steps"):
+        classical_straighten(t, 2)
 
 
 def test_two_straighten_validates_input():

@@ -266,6 +266,13 @@ def test_too_many_letters_rejected(shape):
         enumerate_tableaux(shape, 33)
 
 
+@pytest.mark.parametrize("n", [True, 3.0, "3", None])
+def test_alphabet_size_that_is_not_an_int_rejected(n):
+    # the tableaux are built unchecked, so a bool n would reach them
+    with pytest.raises(ValueError, match="need an int n"):
+        enumerate_tableaux((2, 1), n)
+
+
 def test_weight_counts_occurrences():
     t = Tableau((1, 1, 3), (2, 3), 4)
     assert weight(t) == (2, 1, 2, 0)
