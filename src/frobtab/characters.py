@@ -83,7 +83,7 @@ from .standard_monomials import (
     _rectify_rows,
     case_tag,
 )
-from .symfunc import OrbitCharacter, _orbits, expected_character
+from .symfunc import OrbitCharacter, _orbits, _unchecked_character, expected_character
 
 __all__ = [
     "CharacterReport",
@@ -266,10 +266,13 @@ def subquotient_character(idx: IndexTriple) -> OrbitCharacter:
     """Diagonal-torus character of the subquotient at the index triple: the
     coefficient of the orbit (i, j) is r_d(i, j) - r_{d+1}(i, j)."""
     a, b, d, n = idx.a, idx.b, idx.d, idx.n
-    return OrbitCharacter(
-        {(i, j): _rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j) for i, j in _orbits(a, b, n)},
-        n,
-    )
+    table = {}
+    for i in range(max(0, a + b - n), b + 1):  # the orbits of _orbits(a, b, n)
+        j = a + b - 2 * i
+        c = _rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j)
+        if c:
+            table[(i, j)] = c
+    return _unchecked_character(table, n)
 
 
 def in_ideal_power(e: ExtElement, d: int) -> bool:
@@ -304,6 +307,11 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     0..j-1 and those used twice above them, each kind in order, so the
     x-masks of the rectified rows (``_monomial_xmasks``) are the column keys
     of ``_orbit_columns(j, a - i)``, as in ``_orbit_block``.
+
+    Every weight of the support reads the same block of the d+1-st power,
+    ``above``.  Each weight keeps only the pivot rows its own monomials add,
+    beside that block (``EchelonBasis.add_beside``), so the block is shared,
+    not copied per weight.
     """
     rows = _exact_support_rows(a, b, d, m)
     if not rows:
@@ -312,31 +320,30 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     j = m - i
     cols = _orbit_columns(j, a - i)
     above = _orbit_block(d + 1, a, b, i, j)
-    bits = [1 << v for v in range(m + 1)]
     low = (1 << j) - 1  # the letters used once, relabelled
-    # per set of letters used twice: the relabelling and the joint basis
-    joint: dict[int, tuple[list[int], EchelonBasis]] = {}
+    # per set of letters used twice (one weight): the relabelling and the
+    # pivots the weight's rows have added beside ``above``
+    weights: dict[frozenset[int], tuple[list[int], dict[int, int]]] = {}
     added = 0
     for row1, row2 in rows:
-        # neither row repeats a letter before rectifying
-        twice = sum(map(bits.__getitem__, row1)) & sum(map(bits.__getitem__, row2))
-        if twice not in joint:
+        twice = frozenset(row1).intersection(row2)  # rectifying keeps the entries
+        if twice not in weights:
             label = [0] * (m + 1)
             once, rest = 0, j
             for v in range(1, m + 1):
-                if twice >> v & 1:
+                if v in twice:
                     label[v], rest = 1 << rest, rest + 1
                 else:
                     label[v], once = 1 << once, once + 1
-            joint[twice] = label, above.copy()
-        label, basis = joint[twice]
+            weights[twice] = label, {}
+        label, beside = weights[twice]
         row1, row2 = _rectify_rows(row1, row2, a, b, d)
         xmasks = _monomial_xmasks(row1, row2, a, label, low)
-        added += basis.add(sum(1 << cols[xm] for xm in xmasks))
+        added += above.add_beside(beside, sum(1 << cols[xm] for xm in xmasks))
     return len(rows), added
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterReport:
     """Outcome of verifying one index triple, all checks exact."""
 
@@ -389,12 +396,14 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
 
     basis_count = rank_added = 0
     independent = True
-    for i, j in _orbits(a, b, n):
-        m = i + j
+    for i in range(max(0, a + b - n), b + 1):  # the orbits of _orbits(a, b, n)
+        m = a + b - i
         count, added = _support_certificate(a, b, d, m)
-        basis_count += comb(n, m) * count
-        rank_added += comb(n, m) * added
-        independent = independent and added == count
+        if count:
+            supports = comb(n, m)
+            basis_count += supports * count
+            rank_added += supports * added
+            independent = independent and added == count
     quotient_dim = computed.evaluate_at_ones()
 
     return CharacterReport(

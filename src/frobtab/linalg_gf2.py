@@ -32,6 +32,26 @@ class EchelonBasis:
         self._pivots[v.bit_length()] = v
         return True
 
+    def add_beside(self, extra: dict[int, int], v: int) -> bool:
+        """Add ``v`` to ``extra``, a dict of pivot rows kept beside this basis
+        (leading bit length -> row), and report whether it was independent of
+        both; this basis is not changed.
+
+        ``extra`` must hold only rows added this way.  Each was reduced
+        against both, so no leading bit of ``extra`` is one of this basis,
+        and the two together are one echelon basis: ``extra`` gains exactly
+        the row that ``copy().add(v)`` would add to the copy.
+        """
+        pivots = self._pivots
+        while v:
+            top = v.bit_length()
+            row = pivots.get(top) or extra.get(top)
+            if row is None:
+                extra[top] = v
+                return True
+            v ^= row
+        return False
+
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 

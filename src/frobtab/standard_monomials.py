@@ -106,10 +106,10 @@ def standard_monomial(t: Tableau, a: int) -> ExtElement:
 
 
 def _check_split_point(t: Tableau, a: int) -> None:
-    """Raise ``DomainError`` unless ``a`` lies in the columns d..r1 of ``t``."""
-    r1, d = t.shape
-    if not d <= a <= r1:
-        raise DomainError(f"split point a={a} outside columns {d}..{r1} of shape {t.shape}")
+    """Raise ``DomainError`` unless ``a`` is an int in the columns d..r1 of ``t``."""
+    if not _is_int(a) or not len(t.row2) <= a <= len(t.row1):
+        r1, d = t.shape
+        raise DomainError(f"split point a={a!r} outside columns {d}..{r1} of shape {t.shape}")
 
 
 def _monomial_terms(row1: tuple[int, ...], row2: tuple[int, ...], a: int) -> set[tuple[int, int]]:

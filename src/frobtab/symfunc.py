@@ -26,6 +26,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .tableaux import (
     Tableau,
+    _check_n,
+    _is_int,
     _unchecked_tableau,
     enumerate_column_strict,
     enumerate_tableaux,
@@ -187,20 +189,34 @@ class OrbitCharacter:
     is ``table[(i, j)]``, wherever those entries sit.  Output (``items``,
     ``to_json_entries``, ``str``) expands to weights and reads exactly as the
     equal ``SymPoly``.
+
+    ``OrbitCharacter(table, n)`` checks its input: ``n`` an int in 1..MAX_N,
+    each orbit a pair of ints (i, j) with i + j <= n, each coefficient an
+    int; zero coefficients are dropped.  The tables the package builds
+    itself, in ``expected_character``, ``characters.subquotient_character``
+    and the sum and difference of two characters, hold only valid orbits and
+    nonzero coefficients, so they go through ``_unchecked_character``.
     """
 
     __slots__ = ("_table", "n")
 
     def __init__(self, table: Mapping[tuple[int, int], int], n: int):
-        if n < 1:
-            raise ValueError("need n >= 1")
+        _check_n(n)
         self.n = n
         clean: dict[tuple[int, int], int] = {}
-        for (i, j), c in table.items():
-            if i < 0 or j < 0 or i + j > n:
-                raise ValueError(f"bad orbit {(i, j)} for n={n}")
+        for orbit, c in table.items():
+            if (
+                not isinstance(orbit, tuple)
+                or len(orbit) != 2
+                or not all(map(_is_int, orbit))
+                or min(orbit) < 0
+                or sum(orbit) > n
+            ):
+                raise ValueError(f"bad orbit {orbit!r} for n={n}")
+            if not _is_int(c):
+                raise ValueError(f"coefficient {c!r} of the orbit {orbit} is not an int")
             if c:
-                clean[(i, j)] = c
+                clean[orbit] = c
         self._table = clean
 
     @classmethod
@@ -243,8 +259,12 @@ class OrbitCharacter:
             raise ValueError(f"mixed variable counts: {self.n} != {other.n}")
         out = dict(self._table)
         for orbit, c in other._table.items():
-            out[orbit] = out.get(orbit, 0) + sign * c
-        return OrbitCharacter(out, self.n)
+            c = out.get(orbit, 0) + sign * c
+            if c:
+                out[orbit] = c
+            else:
+                del out[orbit]
+        return _unchecked_character(out, self.n)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -272,6 +292,17 @@ class OrbitCharacter:
 
     def __repr__(self) -> str:
         return f"OrbitCharacter({self._table}, n={self.n})"
+
+
+def _unchecked_character(table: dict[tuple[int, int], int], n: int) -> OrbitCharacter:
+    """``OrbitCharacter(table, n)`` without its checks, for tables the package
+    builds itself: ``n`` an int in 1..MAX_N, orbits (i, j) of ints with
+    i + j <= n, and only nonzero int coefficients.  The table is kept, not
+    copied."""
+    char = object.__new__(OrbitCharacter)
+    char.n = n
+    char._table = table
+    return char
 
 
 def h_squarefree(d: int, n: int) -> SymPoly:
@@ -366,12 +397,23 @@ def _formula_terms(a: int, b: int, d: int) -> list[tuple[int, int, int]]:
 
 
 def expected_character(a: int, b: int, d: int, n: int) -> OrbitCharacter:
-    """Predicted character of the (d, d+1) ideal-power subquotient in bidegree (a, b)."""
-    terms = _formula_terms(a, b, d)
+    """Predicted character of the (d, d+1) ideal-power subquotient in bidegree (a, b).
+
+    Raises ``ValueError`` unless a, b, d are ints with a >= b >= d >= 0 and
+    n is an int in 1..MAX_N.  The orbits of bidegree (a, b) with at most n
+    letters are (i, a + b - 2i) for max(0, a + b - n) <= i <= b.
+    """
+    if not (_is_int(a) and _is_int(b) and _is_int(d)):
+        raise ValueError(f"need int a, b, d, got {(a, b, d)!r}")
+    terms = _formula_terms(a, b, d)  # checks a >= b >= d >= 0
+    _check_n(n)
     table = {}
-    for i, j in _orbits(a, b, n):
-        table[(i, j)] = sum(s * _truncated_schur_coeff(r1, r2, i, j) for s, r1, r2 in terms)
-    return OrbitCharacter(table, n)
+    for i in range(max(0, a + b - n), b + 1):
+        j = a + b - 2 * i
+        c = sum(s * _truncated_schur_coeff(r1, r2, i, j) for s, r1, r2 in terms)
+        if c:
+            table[(i, j)] = c
+    return _unchecked_character(table, n)
 
 
 def _shape_params(t: Tableau) -> tuple[int, int]:

@@ -79,6 +79,16 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_n(n: object) -> None:
+    """Raise ``ValueError`` unless the alphabet size ``n`` is an int in 1..MAX_N."""
+    if not _is_int(n):
+        raise ValueError(f"need an int n, got {n!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"need n <= {MAX_N}, got {n}")
+
+
 # the slot descriptors' setters
 _set_row1 = Tableau.row1.__set__
 _set_row2 = Tableau.row2.__set__
@@ -155,12 +165,7 @@ def enumerate_tableaux(shape: tuple[int, int], n: int, kind: str = "ssyt") -> li
     """
     if kind not in ("ssyt", "2ssyt"):
         raise ValueError(f"unknown tableau kind {kind!r}")
-    if not _is_int(n):
-        raise ValueError(f"need an int n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"need n <= {MAX_N}, got {n}")
+    _check_n(n)
     len1, len2 = shape
     if len2 > len1 or len2 < 0:
         raise ValueError(f"invalid two-row shape {shape}")

@@ -14,7 +14,10 @@ once per support, and through ``per_n_certificate`` on every basis tableau
 on n letters.  Its rows, x-masks on the letters used once, are checked
 against the (xmask, ymask) term sets of the same rows, projected onto those
 letters, one by one and through ``term_set_support_certificate``, the
-certificate as it was built on them.
+certificate as it was built on them.  ``copy_per_weight_certificate`` adds
+each weight's rows to its own copy of the d+1 block, where the certificate
+keeps them beside the one shared block.  ``checked_subquotient_character``
+builds each character through the checked ``OrbitCharacter`` constructor.
 """
 
 import math
@@ -54,9 +57,16 @@ from frobtab.standard_monomials import (
     exact_support_basis,
     two_standard_monomial,
 )
-from frobtab.symfunc import OrbitCharacter, SymPoly, expected_character, h_squarefree, schur
+from frobtab.symfunc import (
+    OrbitCharacter,
+    SymPoly,
+    _orbits,
+    expected_character,
+    h_squarefree,
+    schur,
+)
 from frobtab.tableaux import transpose_shape
-from test_symfunc import jacobi_trudi_character
+from test_symfunc import jacobi_trudi_character, same_character
 
 # (a, b, n) of the differential grid: a <= 6, n <= 6
 GRID = [(a, b, n) for n in range(1, 7) for a in range(0, 7) for b in range(0, a + 1)]
@@ -219,6 +229,47 @@ def term_set_support_certificate(a, b, d, m):
         xmasks = term_set_xmasks(row1, row2, a, label)
         added += basis.add(sum(1 << cols[xm >> i] for xm in xmasks))
     return len(rows), added
+
+
+def copy_per_weight_certificate(a, b, d, m):
+    """``_support_certificate`` with each weight's rows added to its own
+    copy of the d+1 block, and the letters used twice found as a bit mask."""
+    rows = _exact_support_rows(a, b, d, m)
+    if not rows:
+        return 0, 0
+    i = a + b - m
+    j = m - i
+    cols = _orbit_columns(j, a - i)
+    above = _orbit_block(d + 1, a, b, i, j)
+    bits = [1 << v for v in range(m + 1)]
+    joint = {}
+    added = 0
+    for row1, row2 in rows:
+        twice = sum(map(bits.__getitem__, row1)) & sum(map(bits.__getitem__, row2))
+        if twice not in joint:
+            label = [0] * (m + 1)
+            once, rest = 0, j
+            for v in range(1, m + 1):
+                if twice >> v & 1:
+                    label[v], rest = 1 << rest, rest + 1
+                else:
+                    label[v], once = 1 << once, once + 1
+            joint[twice] = label, above.copy()
+        label, basis = joint[twice]
+        row1, row2 = _rectify_rows(row1, row2, a, b, d)
+        xmasks = _monomial_xmasks(row1, row2, a, label, (1 << j) - 1)
+        added += basis.add(sum(1 << cols[xm] for xm in xmasks))
+    return len(rows), added
+
+
+def checked_subquotient_character(idx):
+    """``subquotient_character`` through the checked ``OrbitCharacter``
+    constructor, zeros included."""
+    a, b, d, n = idx.a, idx.b, idx.d, idx.n
+    return OrbitCharacter(
+        {(i, j): _rank(d, a, b, i, j) - _rank(d + 1, a, b, i, j) for i, j in _orbits(a, b, n)},
+        n,
+    )
 
 
 def _take(p, r2, r1):
@@ -912,6 +963,72 @@ def test_support_certificate_agrees_with_the_term_set_certificate():
                     assert _support_certificate(a, b, d, m) == want, (a, b, d, m)
                     checked += 1
     assert checked == 714
+
+
+def test_support_certificate_agrees_with_a_copy_of_the_block_per_weight():
+    checked = 0
+    _support_certificate.cache_clear()
+    for a in range(0, 8):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 1):
+                    want = copy_per_weight_certificate(a, b, d, m)
+                    assert _support_certificate(a, b, d, m) == want, (a, b, d, m)
+                    checked += 1
+    assert checked == 1_170
+
+
+def test_the_certificate_reduces_each_row_against_the_shared_block(monkeypatch):
+    # every standard monomial of the basis lies in the d-th power, so against
+    # that block in place of the d+1-st no row raises the rank; a certificate
+    # that left the shared block out would count the rows again
+    monkeypatch.setattr(characters, "_orbit_block", lambda d, *rest: _orbit_block(d - 1, *rest))
+    _support_certificate.cache_clear()
+    try:
+        rows = 0
+        for a in range(0, 6):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    for m in range(a, a + b + 1):
+                        count, added = _support_certificate(a, b, d, m)
+                        assert added == 0, (a, b, d, m)
+                        rows += count
+        assert rows == 3_289
+    finally:
+        _support_certificate.cache_clear()
+
+
+def test_the_certificate_copies_no_block(monkeypatch):
+    def refused(self):
+        raise AssertionError("a block was copied")
+
+    # the blocks are built first: the peel copies the block it extends
+    for a in range(0, 7):
+        for b in range(0, a + 1):
+            for d in range(0, b + 2):
+                _multilinear_block(d, a, b)
+    monkeypatch.setattr(EchelonBasis, "copy", refused)
+    _support_certificate.cache_clear()
+    try:
+        for a, b, n in GRID:
+            for d in range(b + 1):
+                assert verify_triple(IndexTriple(a, b, d, n)).ok
+        with pytest.raises(AssertionError, match="copied"):
+            copy_per_weight_certificate(3, 2, 1, 4)
+    finally:
+        _support_certificate.cache_clear()
+
+
+def test_subquotient_character_matches_the_checked_loop():
+    checked = 0
+    for n in range(1, 13):
+        for a in range(0, 7):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    idx = IndexTriple(a, b, d, n)
+                    same_character(subquotient_character(idx), checked_subquotient_character(idx))
+                    checked += 1
+    assert checked == 12 * 84
 
 
 def test_the_certificate_builds_no_term_set(monkeypatch):

@@ -186,6 +186,14 @@ def test_standard_monomial_split_point_validation():
         standard_monomial(t, 4)  # beyond the row
 
 
+@pytest.mark.parametrize("a", [True, 1.0, 2.0, "1", None])
+def test_a_split_point_that_is_not_an_int_is_rejected(a):
+    # a bool or a float would pass the range check: True read as x1y2
+    with pytest.raises(DomainError, match="split point"):
+        standard_monomial(Tableau((1, 2), (), 3), a)
+    assert str(standard_monomial(Tableau((1, 2), (), 3), 1)) == "x1y2"
+
+
 def test_index_triple_validation():
     with pytest.raises(DomainError):
         IndexTriple(1, 2, 0, 4)  # b > a

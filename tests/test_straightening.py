@@ -89,6 +89,17 @@ def test_classical_straightening_rejects_degenerate_columns():
         classical_straighten(Tableau((2, 1), (2,), 3), 1)
 
 
+@pytest.mark.parametrize("a", [True, 1.0, "1"])
+def test_a_split_point_that_is_not_an_int_is_rejected(a):
+    # 1.0 would reach the slicing of the rows and fail there with a TypeError
+    t = Tableau((1, 2), (), 3)
+    with pytest.raises(DomainError, match="split point"):
+        classical_straighten(t, a)
+    with pytest.raises(DomainError, match="split point"):
+        TableauSum(frozenset([t]), a, 3).element_sum()
+    assert TableauSum(frozenset([t]), 1, 3).element_sum() == classical_straighten(t, 1).element_sum()
+
+
 def test_tableau_sum_basics():
     t = Tableau((1, 2), (2, 3), 3)
     s = TableauSum(frozenset([t]), 2, 3)

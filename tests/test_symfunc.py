@@ -23,6 +23,9 @@ from frobtab.symfunc import (
     promote,
     schur,
     schur_squarefree,
+    _formula_terms,
+    _orbits,
+    _truncated_schur_coeff,
     tableau_term,
     unpromotable_tableaux,
 )
@@ -194,6 +197,83 @@ def test_orbit_tables_match_the_jacobi_trudi_expansion_at_every_weight():
                     assert computed.to_sympoly() == want, (a, b, d, n)
                     checked += 1
     assert checked == 8 * 56
+
+
+def checked_expected_character(a, b, d, n):
+    """``expected_character`` as a loop over ``_orbits`` into the checked
+    ``OrbitCharacter`` constructor, zeros included."""
+    terms = _formula_terms(a, b, d)
+    table = {}
+    for i, j in _orbits(a, b, n):
+        table[(i, j)] = sum(s * _truncated_schur_coeff(r1, r2, i, j) for s, r1, r2 in terms)
+    return OrbitCharacter(table, n)
+
+
+def same_character(got, want):
+    """Equal, with the same table in the same order (``repr``), and, where
+    the weights are few enough to list, the same ``str`` and JSON entries."""
+    assert got == want
+    assert repr(got) == repr(want)
+    if got.n <= 6:
+        assert str(got) == str(want)
+        assert got.to_json_entries() == want.to_json_entries()
+
+
+def test_expected_character_matches_the_checked_loop():
+    checked = 0
+    for n in range(1, 33):
+        for a in range(0, 9):
+            for b in range(0, a + 1):
+                for d in range(0, b + 1):
+                    same_character(expected_character(a, b, d, n), checked_expected_character(a, b, d, n))
+                    checked += 1
+    assert checked == 32 * 165
+
+
+@pytest.mark.parametrize(
+    "table, n",
+    [
+        ({(0, 1): 1}, True),
+        ({(0, 1): 1}, 2.5),
+        ({(0, 1): 1}, 40),
+        ({(True, 1): 1}, 3),
+        ({(0, 1.0): 1}, 3),
+        ({(0, 1, 0): 1}, 3),
+        ({(-1, 2): 1}, 3),
+        ({(2, 2): 1}, 3),
+        ({(0, 1): 1.5}, 3),
+        ({(0, 1): True}, 3),
+        ({(0, 1): "1"}, 3),
+    ],
+)
+def test_orbit_character_rejects_what_is_not_an_int_table_in_1_to_max_n(table, n):
+    with pytest.raises(ValueError):
+        OrbitCharacter(table, n)
+
+
+def test_orbit_character_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        OrbitCharacter({}, 0)
+    with pytest.raises(ValueError, match="need n <= 32, got 40"):
+        OrbitCharacter({}, 40)
+    # a zero coefficient is dropped, as before
+    assert OrbitCharacter({(0, 1): 0, (1, 0): 2}, 3) == OrbitCharacter({(1, 0): 2}, 3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(True, True, 0, 3), (2, 1, False, 3), (2.0, 1, 0, 3), (2, 1, 0, 2.5), (2, 1, 0, True), (2, 1, 0, 40)],
+)
+def test_expected_character_rejects_arguments_that_are_not_ints_in_range(args):
+    with pytest.raises(ValueError):
+        expected_character(*args)
+
+
+def test_expected_character_rejects_an_empty_alphabet_and_a_bad_triple():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        expected_character(2, 1, 0, 0)
+    with pytest.raises(ValueError, match="need a >= b >= d >= 0"):
+        expected_character(1, 2, 0, 3)
 
 
 def test_orbit_character_coeff_outside_its_weights_is_zero():
