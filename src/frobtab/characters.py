@@ -293,6 +293,21 @@ def in_ideal_power(e: ExtElement, d: int) -> bool:
     return True
 
 
+def _weight_label(m: int, twice: frozenset[int]) -> list[int]:
+    """The bit of each letter 1..m of the weight whose letters used twice are
+    ``twice``, for ``_monomial_xmasks``: the letters used once on the bits
+    0..j-1, j = m - len(twice), and those used twice above them, each kind in
+    order."""
+    label = [0] * (m + 1)
+    once, rest = 0, m - len(twice)
+    for v in range(1, m + 1):
+        if v in twice:
+            label[v], rest = 1 << rest, rest + 1
+        else:
+            label[v], once = 1 << once, once + 1
+    return label
+
+
 @lru_cache(maxsize=None)
 def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     """(count, added) of the basis tableaux of (a, b, d) whose letters are
@@ -328,14 +343,7 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     for row1, row2 in rows:
         twice = frozenset(row1).intersection(row2)  # rectifying keeps the entries
         if twice not in weights:
-            label = [0] * (m + 1)
-            once, rest = 0, j
-            for v in range(1, m + 1):
-                if v in twice:
-                    label[v], rest = 1 << rest, rest + 1
-                else:
-                    label[v], once = 1 << once, once + 1
-            weights[twice] = label, {}
+            weights[twice] = _weight_label(m, twice), {}
         label, beside = weights[twice]
         row1, row2 = _rectify_rows(row1, row2, a, b, d)
         xmasks = _monomial_xmasks(row1, row2, a, label, low)

@@ -9,11 +9,11 @@ Subcommands:
   one line per triple as soon as it is verified
 
 Exit codes: 0 success, 1 a verification failed, 2 bad usage or bad input,
-3 an internal error: straightening gave up after
-``straightening.ITERATION_CAP`` steps, or one of its invariants failed, or
-``verify-all`` raised while verifying a triple, after its grid and ``--out``
-were accepted (not a verdict on the input).  Lines already written stay,
-and a fault while verifying prints its traceback before the message.
+3 an internal error: the straight rows of a weight failed to be a basis
+while straightening, or ``verify-all`` raised while verifying a triple,
+after its grid and ``--out`` were accepted (not a verdict on the input).
+Lines already written stay, and a fault while verifying prints its
+traceback before the message.
 141 (128 + SIGPIPE) means the reader closed stdout early, as ``| head``
 does; nothing is printed for it.
 """
@@ -29,11 +29,7 @@ import traceback
 from .characters import in_ideal_power, subquotient_character, verify_triple
 from .gf2_exterior import MAX_N
 from .standard_monomials import DomainError, IndexTriple, standard_monomial
-from .straightening import (
-    StraighteningInvariantError,
-    StraighteningLimitExceeded,
-    two_straighten,
-)
+from .straightening import StraighteningInvariantError, two_straighten
 from .tableaux import enumerate_tableaux, format_tableau, parse_tableau
 
 __all__ = ["main"]
@@ -229,11 +225,7 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        StraighteningLimitExceeded,
-        StraighteningInvariantError,
-        _VerificationCrashed,
-    ) as exc:
+    except (StraighteningInvariantError, _VerificationCrashed) as exc:
         if isinstance(exc, _VerificationCrashed):
             traceback.print_exception(exc.__cause__, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -44,9 +44,18 @@ class MismatchedGroundSetError(ValueError):
     """Raised when operands live over different variable counts n."""
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise ValueError(f"variable count n must be an integer in 1..{MAX_N}, got {n!r}")
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_n(n: object) -> None:
+    """Raise ``ValueError`` unless the alphabet size ``n`` is an int in 1..MAX_N."""
+    if not isinstance(n, int) or isinstance(n, bool):  # _is_int, inlined: every element checks
+        raise ValueError(f"need an int n, got {n!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"need n <= {MAX_N}, got {n}")
 
 
 def _same_n(n1: int, n2: int) -> int:
@@ -57,10 +66,11 @@ def _same_n(n1: int, n2: int) -> int:
 
 def mask_of(indices: Iterable[int], n: int) -> int:
     """Pack a set of 1-based variable indices into a bitmask."""
+    _check_n(n)
     mask = 0
     for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
+        if not _is_int(i) or not 1 <= i <= n:
+            raise ValueError(f"variable index {i!r} is not an int in 1..{n}")
         bit = 1 << (i - 1)
         if mask & bit:
             raise ValueError(f"repeated variable index {i} (squares vanish)")

@@ -52,6 +52,30 @@ class EchelonBasis:
             v ^= row
         return False
 
+    def reduce_beside(self, extra: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
+        """Reduce ``v`` against this basis and ``extra``, a dict of pivots kept
+        beside it (leading bit length -> (row, combination mask)), and return
+        the remainder and the XOR of the masks of the ``extra`` rows used.
+
+        As in ``add_beside``, no leading bit of ``extra`` may be one of this
+        basis.  The remainder's leading bit is a pivot of neither, so it is 0
+        exactly when ``v`` lies in their joint span, and otherwise it can be
+        stored in ``extra`` under its bit length.
+        """
+        pivots = self._pivots
+        used = 0
+        while v:
+            top = v.bit_length()
+            row = pivots.get(top)
+            if row is None:
+                pivot = extra.get(top)
+                if pivot is None:
+                    break
+                row, mask = pivot
+                used ^= mask
+            v ^= row
+        return v, used
+
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 

@@ -38,9 +38,9 @@ from functools import lru_cache
 from itertools import combinations
 from operator import eq, lt
 
-from .gf2_exterior import MAX_N, ExtElement, _times_minor
+from .gf2_exterior import MAX_N, ExtElement, _is_int, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
-from .tableaux import Tableau, _is_int, _unchecked_tableau, enumerate_tableaux, rows_are_2ssyt
+from .tableaux import Tableau, _unchecked_tableau, enumerate_tableaux, rows_are_2ssyt
 
 __all__ = [
     "DomainError",

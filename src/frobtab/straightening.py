@@ -1,9 +1,9 @@
 """Rewriting of tableau products into (cap-2) straight form.
 
-Two levels of rewriting live here, on one term form: a pair of rows
+Two straightenings live here, on one term form: a pair of rows
 ``(row1, row2)`` read with the split point ``a`` as in ``standard_monomial``
 (column minors, then x-variables up to position ``a``, then y-variables).
-Both loops drop syntactic zeroes (a letter used three times, a repeated tail
+Both drop syntactic zeroes (a letter used three times, a repeated tail
 letter or a repeated column) with one bitmask test,
 ``standard_monomials._tail_masks``.
 
@@ -18,25 +18,27 @@ from each tail.
 
 ``two_straighten`` rewrites a semistandard tableau, modulo the (d+1)-st power
 of the minor ideal, into the straight tableaux: the image of rectification,
-which ``rows_two_straight`` looks up.  It is one work loop over a last-in,
-first-out list: kill syntactic zeroes, drop terms that fall into the higher
-ideal power, recurse on the prefix when the prefix itself is not straight,
-and otherwise apply one of a small family of exact or congruence moves at the
-junction of the last columns.  Each step depends on its term alone and the
-loop has no options, so every input has exactly one output sum.  Every move
-is either an exact identity or changes the element by a member of the higher
-ideal power, so the output sum is congruent to the input; the certifying
-oracle lives in ``characters``.  Every rule only compares entries, so the
-loop's memo is keyed on rows relabelled onto the letters 1..m
-(``standard_monomials._relabel_rows``, as is the straightness lookup), and a
-syntactic zero is dropped before the memo is read, so the memo holds only
-non-zero patterns.
+which ``rows_two_straight`` looks up.  The straight tableaux of one weight
+are a basis of the d-th power modulo the (d+1)-st in that weight space, as
+``characters.verify_triple`` certifies, so each input has exactly one
+straight expansion, and one reduction reads it off: the input's row against
+the straight rows of its weight, kept beside the block of the (d+1)-st power
+with the straight rows each pivot sums (``_weight_expansion``).  Ideal
+powers and straightness only see the order of the letters, so the memo and
+the per-weight reductions work on rows relabelled onto the letters 1..m
+(``standard_monomials._relabel_rows``).  A syntactic zero is dropped before
+the memo is read, so the memo holds only non-zero patterns.  The paper's
+junction rewriting rules reach the same sums; the test suite keeps them as
+the oracle for this reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
+from .characters import _orbit_block, _orbit_columns, _weight_label
 from .gf2_exterior import ExtElement, minor, monomial
 from .standard_monomials import (
     DomainError,
@@ -44,9 +46,10 @@ from .standard_monomials import (
     Rows,
     _check_split_point,
     _monomial_terms,
+    _monomial_xmasks,
     _relabel_rows,
+    _straight_rows,
     _tail_masks,
-    rows_two_straight,
 )
 from .tableaux import Tableau, _unchecked_tableau, rows_are_ssyt
 
@@ -66,11 +69,12 @@ ITERATION_CAP = 10**6
 
 
 class StraighteningLimitExceeded(RuntimeError):
-    """The work loop exceeded its iteration budget (indicates a cycle bug)."""
+    """The classical work loop exceeded its iteration budget (indicates a cycle bug)."""
 
 
 class StraighteningInvariantError(RuntimeError):
-    """A junction move met a tableau its case analysis rules out (a bug)."""
+    """The straight rows of a weight failed to be a basis modulo the higher
+    ideal power, against the certificate (a bug)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,96 +283,14 @@ def interlocked_triple(t: Tableau) -> tuple[Tableau, Tableau]:
 _TS_CACHE: dict[tuple, frozenset[Rows]] = {}
 
 
-def _square_junction(A, B, a) -> list[Rows] | None:
-    """Junction moves for the shapes (a, a) and (a, a-1); None means no move applies.
-
-    The (a, a-1) moves are the square ones without the last bottom box, so
-    ``last`` (that box, or nothing) is appended to every new bottom row.
-    """
-    if a < 3:
-        raise StraighteningInvariantError("small tableaux of these shapes are straight or zero")
-    pre1, pre2 = A[: a - 3], B[: a - 3]
-    last = B[a - 1 :]
-    # only the square shape has a last bottom box that can repeat
-    repeat = len(B) == a and B[a - 2] == B[a - 1]
-    if A[a - 2] == A[a - 1]:
-        # repeated last column top: one-term swap
-        if not B[a - 3] > A[a - 1]:
-            raise StraighteningInvariantError(f"repeated last column top in {A}/{B}")
-        return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]) + last)]
-    if B[a - 3] == B[a - 2]:
-        if B[a - 3] > A[a - 1]:
-            return [(pre1 + (A[a - 3], A[a - 1], B[a - 2]), pre2 + (A[a - 2], B[a - 3]) + last)]
-        return [(pre1 + (A[a - 3], B[a - 3], B[a - 2]), pre2 + (A[a - 2], A[a - 1]) + last)]
-    if _has_chain(A, B, a):
-        if repeat and B[a - 3] == A[a - 1]:
-            # the full minor chain telescopes to a square: exactly zero
-            return []
-        if not B[a - 3] > A[a - 1]:
-            raise StraighteningInvariantError(f"minor chain out of order in {A}/{B}")
-        t1 = (pre1 + (A[a - 3], A[a - 2], B[a - 3]), pre2 + (A[a - 1], B[a - 2]) + last)
-        t2 = (pre1 + (A[a - 3], A[a - 2], B[a - 2]), pre2 + (A[a - 1], B[a - 3]) + last)
-        if repeat:
-            return [t1]
-        return [t1, t2]
-    if repeat:
-        jp = [j0 for j0 in range(2, a) if B[j0 - 2] != A[j0]]
-        if not jp:
-            # B[k] == A[k+2] for every k <= a-3: with A[0] == A[1] that is a
-            # chain from i0 = 0, which the branch above already handled
-            raise StraighteningInvariantError(f"full chain without a repeated head in {A}/{B}")
-        j0 = max(jp)
-        if not B[j0 - 2] > A[j0]:
-            raise StraighteningInvariantError(f"chain break out of order in {A}/{B}")
-        mid1 = (A[j0 - 2], A[j0], B[j0 - 2])
-        mid2 = (A[j0 - 1], B[j0 - 1], B[j0])
-        alt1 = (A[j0 - 2], A[j0 - 1], B[j0 - 2])
-        alt2 = (A[j0], B[j0 - 1], B[j0])
-        tail1, tail2 = A[j0 + 1 :], B[j0 + 1 :]
-        return [
-            (A[: j0 - 2] + mid1 + tail1, B[: j0 - 2] + mid2 + tail2),
-            (A[: j0 - 2] + alt1 + tail1, B[: j0 - 2] + alt2 + tail2),
-        ]
-    return None
-
-
-def _has_chain(A, B, a) -> bool:
-    """Some i <= a-2 has a repeated top pair whose minor chain runs to the end."""
-    for i0 in range(a - 2):
-        if A[i0] == A[i0 + 1] and all(B[j0] == A[j0 + 2] for j0 in range(i0, a - 3)):
-            return True
-    return False
-
-
-def _short_tail_junction(A, B, d) -> list[Rows] | None:
-    """Junction for shapes with a two-box tail (a+b-d = d+2).
-
-    Requires some repeated top pair whose minor chain reaches column d; the
-    offending value is the last bottom entry against the last top entry.
-    """
-    if not (len(A) == d + 2 and d >= 1):
-        raise StraighteningInvariantError(f"{A}/{B} has no two-box tail for d={d}")
-    if not _has_chain(A, B, d + 2):
-        return None
-    if B[d - 1] == A[d + 1]:
-        # chain closes up: zero for a two-box x tail, higher-power content
-        # for an x,y tail; dropped either way
-        return []
-    if not B[d - 1] > A[d + 1]:
-        raise StraighteningInvariantError(f"tail out of order in {A}/{B}")
-    new1 = A[: d + 1] + (B[d - 1],)
-    new2 = B[: d - 1] + (A[d + 1],)
-    return [(new1, new2)]
-
-
 def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
     """Straight rows for ``rows``.
 
     The memo is keyed on the rows relabelled onto the letters 1..m in their
-    order (m distinct letters): every rule here only compares entries, so the
-    result for other letters is the relabelled result mapped back.  A
-    syntactic zero (the input is semistandard, so the loop's first step would
-    drop it) gets no rows and no memo entry.
+    order (m distinct letters): straightness and the ideal powers only see
+    the order of the letters, so the result for other letters is the
+    relabelled result mapped back.  A syntactic zero gets no rows and no
+    memo entry.
     """
     A, B = rows
     if _tail_masks(A, B, a) is None:
@@ -377,82 +299,92 @@ def _ts(rows: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
     key = (key_rows, a, b, d)
     result = _TS_CACHE.get(key)
     if result is None:
-        result = _TS_CACHE[key] = _ts_loop(rows, key_rows, a, b, d)
+        m = len(letters)
+        if key_rows in _straight_rows(a, b, d, m):
+            result = frozenset((key_rows,))
+        else:
+            result = _weight_expansion(a, b, d, m, _letters_used_twice(key_rows))(key_rows)
+        _TS_CACHE[key] = result
     if key_rows is rows or not result:
         return result
     back = (0, *letters).__getitem__
     return frozenset((tuple(map(back, r1)), tuple(map(back, r2))) for r1, r2 in result)
 
 
-def _ts_loop(rows: Rows, start: Rows, a: int, b: int, d: int) -> frozenset[Rows]:
-    """The work loop of ``_ts`` from ``start``; ``rows`` names the input in errors."""
-    queue: list[Rows] = [start]
-    out: set[Rows] = set()
-    iters = 0
-    while queue:
-        iters += 1
-        if iters > ITERATION_CAP:
-            raise StraighteningLimitExceeded(
-                f"straightening of {rows} for (a,b,d)=({a},{b},{d}) exceeded {ITERATION_CAP} steps"
-            )
-        cur = queue.pop()
-        A, B = cur
-        if not rows_are_ssyt(A, B):
-            # exact classical rewrite; terms in higher strata lie in the
-            # higher ideal power and are dropped
-            queue.extend(r for r in _classical_terms(A, B, a) if len(r[1]) == d)
-            continue
-        if _tail_masks(A, B, a) is None:  # a syntactic zero
-            continue
-        if d < a and a < len(A) and A[a - 1] == A[a] and (d >= 1 or a - d >= 2):
-            # repeated value across the x,y junction: the term lies in the
-            # higher ideal power (box-move identity), except for the triple
-            # (1,1,0) whose lone monomial survives
-            continue
-        if rows_two_straight(A, B, a, b, d):
-            out ^= {cur}
-            continue
-        # prefix recursion: drop the last column (square) or the last top box
-        if a == b == d:
-            pidx = (a - 1, b - 1, d - 1)
-        elif b > d:
-            pidx = (a, b - 1, d)
-        else:
-            pidx = (a - 1, b, d)
-        prefix = (A[:-1], B[: pidx[2]])
-        if not rows_two_straight(*prefix, *pidx):
-            box1, box2 = A[-1:], B[pidx[2] :]
-            for s1, s2 in _ts(prefix, *pidx):
-                queue.append((s1 + box1, s2 + box2))
-            continue
-        # junction moves
-        if b == d and a - d <= 1:
-            moved = _square_junction(A, B, a)
-        else:
-            moved = _short_tail_junction(A, B, d)
-        if moved is None:
+@lru_cache(maxsize=None)
+def _weight_expansion(
+    a: int, b: int, d: int, m: int, twice: int
+) -> Callable[[Rows], frozenset[Rows]]:
+    """The straight expansion of rows of (a, b, d) on exactly 1..m whose
+    letters used twice are the bits of ``twice``: one weight space.
+
+    Each row's monomial is one vector in the columns of ``_orbit_columns``,
+    labelled as in the basis certificate.  The straight rows of the weight
+    are reduced beside the block of the d+1-st power, each pivot with the
+    bitmask of the straight rows it sums (``EchelonBasis.reduce_beside``).
+    The certificate finds them independent modulo the block and spanning
+    the d-th power over it, so a row of the d-th power reduces to 0 and
+    the bits it collects name its one expansion.  A dependent straight row
+    or a remainder raises.  The cache holds one entry per weight on at most
+    a + b letters, whatever n is.
+    """
+    i = twice.bit_count()
+    j = m - i
+    label = _weight_label(m, frozenset(v for v in range(1, m + 1) if twice >> v & 1))
+    low = (1 << j) - 1
+    cols = _orbit_columns(j, a - i)
+
+    def vector(rows: Rows) -> int:
+        return sum(1 << cols[xm] for xm in _monomial_xmasks(*rows, a, label, low))
+
+    above = _orbit_block(d + 1, a, b, i, j)
+    straight = sorted(r for r in _straight_rows(a, b, d, m) if _letters_used_twice(r) == twice)
+    pivots: dict[int, tuple[int, int]] = {}
+    for k, rows in enumerate(straight):
+        rest, used = above.reduce_beside(pivots, vector(rows))
+        if not rest:
             raise StraighteningInvariantError(
-                f"no junction move applies to {A}/{B} for (a,b,d)=({a},{b},{d})"
+                f"straight rows of (a,b,d)=({a},{b},{d}) on 1..{m} are dependent at {rows}"
             )
-        queue.extend(moved)
-    return frozenset(out)
+        pivots[rest.bit_length()] = rest, used | 1 << k
+
+    def expand(rows: Rows) -> frozenset[Rows]:
+        rest, used = above.reduce_beside(pivots, vector(rows))
+        if rest:
+            raise StraighteningInvariantError(
+                f"{rows} for (a,b,d)=({a},{b},{d}) is not congruent to a sum of straight rows"
+            )
+        return frozenset(s for k, s in enumerate(straight) if used >> k & 1)
+
+    return expand
+
+
+def _letters_used_twice(rows: Rows) -> int:
+    """The letters that ``rows`` use twice, at bit v for the letter v; a row
+    may repeat a letter, so this is not the intersection of the two rows."""
+    once = twice = 0
+    for v in rows[0] + rows[1]:
+        bit = 1 << v
+        twice |= once & bit
+        once |= bit
+    return twice
 
 
 def two_straighten(t: Tableau, idx: IndexTriple) -> TableauSum:
     """Rewrite a semistandard tableau as a straight sum modulo the higher ideal power.
 
-    The result is a GF(2) set of straight tableaux of the same shape whose
+    The result is the GF(2) set of straight tableaux of the same shape whose
     element sum is congruent to the input's standard monomial modulo the
-    (d+1)-st power of the minor ideal.  The rewriting has no options, so each
-    input has exactly one output sum.
+    (d+1)-st power of the minor ideal.  The straight tableaux of a weight are
+    a basis modulo that power, so this sum is unique; it is read off one
+    reduction against them (``_weight_expansion``), and the rewriting has no
+    options.  ``StraighteningInvariantError`` means that basis claim failed.
 
     Results are memoized in ``_TS_CACHE`` for the life of the process, keyed
     on the rows relabelled onto the letters 1..m in their order, so the memo
     holds one entry per letter pattern, on at most a + b letters whatever n
     is.  Syntactic zeros are dropped before the memo is read and get no
-    entry.  Each work loop, classical and prefix sub-loops included, raises
-    ``StraighteningLimitExceeded`` once its own iterations pass
-    ``ITERATION_CAP``, so the memo holds only the results of finished loops.
+    entry.
     """
     if t.n != idx.n:
         raise DomainError(f"tableau over n={t.n} but index triple over n={idx.n}")

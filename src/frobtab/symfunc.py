@@ -24,10 +24,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
+from .gf2_exterior import _check_n, _is_int
 from .tableaux import (
     Tableau,
-    _check_n,
-    _is_int,
     _unchecked_tableau,
     enumerate_column_strict,
     enumerate_tableaux,
@@ -62,14 +61,15 @@ class SymPoly:
     __slots__ = ("_coeffs", "n")
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], int], n: int):
-        if n < 1:
-            raise ValueError("need n >= 1")
+        _check_n(n)
         self.n = n
         clean: dict[tuple[int, ...], int] = {}
         for exps, c in coeffs.items():
             exps = tuple(exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for n={n}")
+            if not _is_int(c):
+                raise ValueError(f"coefficient {c!r} of {exps} is not an int")
             if c:
                 clean[exps] = c
         self._coeffs = clean

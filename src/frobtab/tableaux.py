@@ -29,7 +29,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import le, lt
 from typing import Iterator, Sequence
 
-from .gf2_exterior import MAX_N
+from .gf2_exterior import MAX_N, _check_n, _is_int
 
 __all__ = [
     "Tableau",
@@ -73,20 +73,6 @@ class Tableau:
 
     def __str__(self) -> str:
         return format_tableau(self)
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_n(n: object) -> None:
-    """Raise ``ValueError`` unless the alphabet size ``n`` is an int in 1..MAX_N."""
-    if not _is_int(n):
-        raise ValueError(f"need an int n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"need n <= {MAX_N}, got {n}")
 
 
 # the slot descriptors' setters

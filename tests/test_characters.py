@@ -664,6 +664,20 @@ def test_orbit_blocks_match_the_peel_at_every_weight(peeled):
     assert checked == 1080
 
 
+def test_multilinear_block_ranks_have_a_closed_form():
+    # the d-th power in the multilinear weight space of bidegree (a, b) has
+    # codimension C(a + b, d - 1), for every d >= 1 up to min(a, b) + 1 (where
+    # the block is empty); it is the formula side at the orbit (0, a + b)
+    checked = 0
+    for a in range(0, 8):
+        for b in range(0, 8):
+            for d in range(1, min(a, b) + 2):
+                rank = math.comb(a + b, a) - math.comb(a + b, d - 1)
+                assert _multilinear_block(d, a, b).rank == rank, (d, a, b)
+                checked += 1
+    assert checked == 204
+
+
 @pytest.fixture(scope="module")
 def lemma():
     """``lemma_peel``, its cache freed after the module's tests."""

@@ -286,21 +286,6 @@ def test_character_rejects_too_many_letters(capsys):
     assert err == "error: need 1 <= n <= 32, got 33\n"
 
 
-def test_straightening_limit_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
-    monkeypatch.setattr(straightening, "_TS_CACHE", {})
-    code, out, err = run(
-        capsys,
-        "straighten",
-        "--tableau", "1 2 2 4 5 / 3 3 6 7 7",
-        "--a", "5", "--b", "5", "--d", "5", "--n", "7",
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and "exceeded 0 steps" in err
-    assert len(err.splitlines()) == 1
-
-
 def test_straightening_invariant_is_an_internal_error(capsys, monkeypatch):
     def broken(t, idx):
         raise straightening.StraighteningInvariantError("no junction move applies")

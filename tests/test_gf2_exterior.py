@@ -151,6 +151,33 @@ def test_out_of_range_indices_raise():
         y_var(4, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExtElement((), True),
+        lambda: ExtElement((), 2.0),
+        lambda: monomial([1], [], True),
+        lambda: x_var(True, 3),
+        lambda: y_var(1.0, 3),
+        lambda: minor(1, 2.0, 3),
+        lambda: mask_of([1], 33),
+    ],
+    ids=["bool-n", "float-n", "monomial-bool-n", "bool-index", "float-index", "minor-float-index", "n-33"],
+)
+def test_the_alphabet_checks_reject_bools_floats_and_n_out_of_range(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_the_alphabet_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        ExtElement((), 0)
+    with pytest.raises(ValueError, match="need n <= 32, got 33"):
+        ExtElement((), 33)
+    with pytest.raises(ValueError, match="variable index True is not an int in 1..3"):
+        x_var(True, 3)
+
+
 @pytest.mark.parametrize("n", [1, 5, 32])
 def test_constructor_rejects_term_masks_outside_the_alphabet(n):
     top = (1 << n) - 1

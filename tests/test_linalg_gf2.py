@@ -60,3 +60,48 @@ def test_rows_added_beside_a_basis_reduce_against_both():
     assert beside == {1: 0b001}  # 0b111 ^ 0b110 = 0b001
     assert not eb.add_beside(beside, 0b100)  # 0b110 ^ 0b011 ^ 0b001
     assert eb.rank == 2
+
+
+def _span_masks(rows):
+    """Every vector of the span of ``rows``, mapped to the masks of the
+    subsets of ``rows`` that sum to it (brute force over all subsets)."""
+    out = {}
+    for mask in range(1 << len(rows)):
+        v = 0
+        for k, row in enumerate(rows):
+            if mask >> k & 1:
+                v ^= row
+        out.setdefault(v, set()).add(mask)
+    return out
+
+
+def test_reduce_beside_reads_off_the_combination_of_tracked_rows():
+    rng = random.Random(11)
+    for _ in range(200):
+        width = rng.randint(1, 9)
+        base = EchelonBasis(rng.getrandbits(width) for _ in range(rng.randint(0, 4)))
+        tracked = [rng.getrandbits(width) for _ in range(rng.randint(0, 5))]
+        extra: dict[int, tuple[int, int]] = {}
+        independent = []
+        for k, row in enumerate(tracked):
+            rest, used = base.reduce_beside(extra, row)
+            if rest:
+                extra[rest.bit_length()] = rest, used | 1 << k
+                independent.append(k)
+        # the tracked rows kept are independent modulo the basis, and no
+        # other tracked row is
+        brute = _span_masks(list(base.rows) + [tracked[k] for k in independent])
+        assert len(brute[0]) == 1
+        assert base.rank + len(independent) == EchelonBasis(list(base.rows) + tracked).rank
+        nb = base.rank
+        for _ in range(10):
+            v = rng.getrandbits(width)
+            rest, used = base.reduce_beside(extra, v)
+            assert base.reduce_beside(extra, rest) == (rest, 0)
+            if v not in brute:
+                assert rest
+                continue
+            assert rest == 0
+            # the one combination of kept tracked rows, modulo the basis
+            (mask,) = brute[v]
+            assert used == sum(1 << k for p, k in enumerate(independent) if mask >> (nb + p) & 1)

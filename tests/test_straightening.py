@@ -1,4 +1,5 @@
-"""Rewriting engines: classical straightening and the cap-2 work loop."""
+"""Rewriting engines: classical straightening and cap-2 straightening, with
+the paper's junction rules (``junction_oracle``) as the cap-2 oracle."""
 
 import ast
 import hashlib
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import junction_oracle
 from frobtab import straightening
 from frobtab.characters import in_ideal_power
 from frobtab.gf2_exterior import minor, monomial
@@ -26,7 +28,6 @@ from frobtab.straightening import (
     StraighteningInvariantError,
     StraighteningLimitExceeded,
     TableauSum,
-    _square_junction,
     classical_straighten,
     collapse_interlocked,
     interlocked_triple,
@@ -296,10 +297,39 @@ def semistandard_cases(max_a, n):
                     yield t, idx
 
 
+def exact_support_cases(max_a):
+    """Every semistandard tableau whose letters are exactly 1..m, m <= a + b,
+    over the alphabet 1..max(m, 1), with its index triple.  Straightening
+    only sees the order of the letters, so these stand for every tableau
+    at every n."""
+    for a in range(0, max_a + 1):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 1):
+                    n = max(m, 1)
+                    idx = IndexTriple(a, b, d, n)
+                    for t in enumerate_tableaux(idx.shape, n, kind="ssyt"):
+                        if set(t.row1 + t.row2) == set(range(1, m + 1)):
+                            yield t, idx
+
+
+def test_two_straighten_agrees_with_the_junction_rules_on_every_letter_pattern(monkeypatch):
+    # from a cold memo, so every pattern runs the reduction
+    monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    cases = list(exact_support_cases(4))
+    nonzero = 0
+    for t, idx in cases:
+        got = {(u.row1, u.row2) for u in two_straighten(t, idx).terms}
+        want = junction_oracle._ts((t.row1, t.row2), idx.a, idx.b, idx.d)
+        assert got == want, (idx, t)
+        nonzero += _tail_masks(t.row1, t.row2, idx.a) is not None
+    assert (len(cases), nonzero) == (3993, 1423)
+
+
 def test_two_straighten_commutes_with_spreading_the_letters(monkeypatch):
     # The memo is keyed on rows relabelled onto 1..m.  Moving a tableau onto
     # spread-out letters by an order-preserving map must move its output the
-    # same way, and must match the loop run on the raw letters with no memo.
+    # same way, and must match the junction rules run on the raw letters.
     monkeypatch.setattr(straightening, "_TS_CACHE", {})
     rng = random.Random(7)
     cases = []
@@ -317,48 +347,27 @@ def test_two_straighten_commutes_with_spreading_the_letters(monkeypatch):
             assert got == want, (idx, t)
             cases.append((wide.row1, wide.row2, idx, got))
     assert len(cases) == 47195
-
-    def raw_ts(rows, a, b, d):
-        return straightening._ts_loop(rows, rows, a, b, d)
-
-    monkeypatch.setattr(straightening, "_ts", raw_ts)
     for row1, row2, idx, got in cases:
-        assert set(raw_ts((row1, row2), idx.a, idx.b, idx.d)) == got, (idx, row1, row2)
+        assert junction_oracle._ts((row1, row2), idx.a, idx.b, idx.d) == got, (idx, row1, row2)
 
 
 def test_straightening_memo_does_not_grow_with_the_alphabet(monkeypatch):
-    # keys live on at most a + b letters, so every pattern for a <= 3 already
-    # occurs at n = 6
+    # keys live on at most a + b letters, so every pattern and every weight
+    # for a <= 3 already occurs at n = 6
     monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    straightening._weight_expansion.cache_clear()
     for t, idx in semistandard_cases(3, 6):
         two_straighten(t, idx)
     size = len(straightening._TS_CACHE)
+    weights = straightening._weight_expansion.cache_info().currsize
+    assert size and weights
     for t, idx in semistandard_cases(3, 9):
         two_straighten(t, idx)
     assert len(straightening._TS_CACHE) == size
+    assert straightening._weight_expansion.cache_info().currsize == weights
     # syntactic zeros are dropped before the memo is read
     for (A, B), a, _, _ in straightening._TS_CACHE:
         assert _tail_masks(A, B, a) is not None, (A, B, a)
-
-
-def test_cap_zero_raises_on_every_input_that_is_not_a_syntactic_zero(monkeypatch):
-    # each work loop checks its own iterations against the cap, and only
-    # finished loops reach the memo; a syntactic zero runs no loop
-    cases = [case for n in range(1, 6) for case in semistandard_cases(4, n)]
-    cap = straightening.ITERATION_CAP
-    monkeypatch.setattr(straightening, "_TS_CACHE", {})
-    monkeypatch.setattr(straightening, "ITERATION_CAP", 0)
-    for t, idx in cases:
-        if _tail_masks(t.row1, t.row2, idx.a) is None:
-            assert not two_straighten(t, idx).terms, (t, idx)
-        else:
-            with pytest.raises(StraighteningLimitExceeded, match="exceeded 0 steps"):
-                two_straighten(t, idx)
-        assert straightening._TS_CACHE == {}, (t, idx)
-    # the default cap never raises, from a cold memo
-    monkeypatch.setattr(straightening, "ITERATION_CAP", cap)
-    for t, idx in cases:
-        two_straighten(t, idx)
 
 
 def test_classical_straighten_raises_at_cap_zero(monkeypatch):
@@ -377,20 +386,39 @@ def test_two_straighten_validates_input():
         two_straighten(Tableau((2, 1, 1), (3,), 3), idx)  # not semistandard
 
 
-def test_broken_junction_invariant_raises_a_typed_error():
-    with pytest.raises(StraighteningInvariantError):
-        _square_junction((1, 2), (3, 4), 2)
-    # a check written as ``assert`` would vanish under python -O
+def test_a_missing_straight_row_raises_a_typed_error_under_python_O():
+    # Drop one straight row of (2, 1, 1) on 1..3.  That row is no longer
+    # straight, and the rows left in its weight cannot expand it, so the
+    # reduction leaves a remainder.  A check written as ``assert`` would
+    # vanish under python -O.
     code = (
-        "from frobtab.straightening import StraighteningInvariantError, _square_junction\n"
+        "from frobtab import straightening\n"
+        "from frobtab.standard_monomials import IndexTriple, _straight_rows\n"
+        "from frobtab.tableaux import Tableau\n"
+        "dropped = min(_straight_rows(2, 1, 1, 3))\n"
+        "straightening._straight_rows = lambda *key: _straight_rows(*key) - {dropped}\n"
         "try:\n"
-        "    _square_junction((1, 2), (3, 4), 2)\n"
-        "except StraighteningInvariantError:\n"
+        "    straightening.two_straighten(Tableau(*dropped, 3), IndexTriple(2, 1, 1, 3))\n"
+        "except straightening.StraighteningInvariantError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_dependent_straight_row_raises_a_typed_error(monkeypatch):
+    # a non-straight row of the golden example's weight, added to the
+    # straight rows, is congruent to a sum of them
+    rows = ((1, 2, 2, 4, 5), (3, 3, 6, 7, 7))
+    original = straightening._straight_rows
+    monkeypatch.setattr(straightening, "_straight_rows", lambda *key: original(*key) | {rows})
+    straightening._weight_expansion.cache_clear()
+    try:
+        with pytest.raises(StraighteningInvariantError, match="are dependent"):
+            straightening._weight_expansion(5, 5, 5, 7, 1 << 2 | 1 << 3 | 1 << 7)
+    finally:
+        straightening._weight_expansion.cache_clear()
 
 
 def test_library_has_no_assert_statements():
@@ -435,4 +463,4 @@ def test_square_junction_full_chain_without_repeated_head_is_unreachable():
     # B[k] == A[k+2] for every k, so no chain break exists; with A[0] == A[1]
     # the minor-chain move would have applied first
     with pytest.raises(StraighteningInvariantError):
-        _square_junction((1, 2, 3), (3, 4, 4), 3)
+        junction_oracle._square_junction((1, 2, 3), (3, 4, 4), 3)

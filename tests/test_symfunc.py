@@ -89,6 +89,31 @@ def test_sympoly_variable_index_is_checked():
             SymPoly.variable(i, 3)
 
 
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [
+        ({(0,): 1.5}, True),
+        ({(0,): 1}, True),
+        ({(0,): 1.5}, 1),
+        ({(0,): True}, 1),
+        ({(0,) * 40: 1}, 40),
+        ({(0,) * 2: 1}, 2.0),
+    ],
+)
+def test_sympoly_rejects_what_is_not_an_int_polynomial_in_1_to_max_n(coeffs, n):
+    with pytest.raises(ValueError):
+        SymPoly(coeffs, n)
+
+
+def test_sympoly_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        SymPoly({}, 0)
+    with pytest.raises(ValueError, match="need n <= 32, got 33"):
+        SymPoly({}, 33)
+    # OrbitCharacter expands into int coefficients, at the largest n too
+    assert OrbitCharacter({(1, 0): 3}, 32).to_sympoly().coeff((2,) + (0,) * 31) == 3
+
+
 def test_squarefree_complete_is_elementary():
     # in the squarefree world the complete homogeneous sum has no choice but
     # to be multilinear, which is exactly the elementary polynomial
