@@ -12,12 +12,15 @@ squarefree ring:
   (independent modulo the higher power, and spanning the lower one), once
   per orbit: the basis tableaux on exactly 1..m, m = i + j, stand for those
   on every m-letter subset of 1..n, at every n, and no other m holds any.
-  The certificate is checked weight by weight and cached under
-  (a, b, d, m), with a <= m <= a + b, so every caller shares it.  Within
-  one weight space a term's x-mask fixes its y-mask, so each standard
-  monomial's row is read from the rectified rows as a set of x-masks on
-  the letters used once, which are the orbit's column keys: its columns
-  collapse path by path, as in the proof below (``_monomial_xmasks``).
+  The certificate reads the support's rectified rows with their weights
+  (``standard_monomials._rectify_pairs``, the triple classified once per
+  support), checks them weight by weight, and caches only (count, added)
+  under (a, b, d, m), with a <= m <= a + b, so every caller shares it.
+  Within one weight space a term's x-mask fixes its y-mask, so each
+  standard monomial's row is read from the rectified rows as a set of
+  x-masks on the letters used once, which are the orbit's column keys: its
+  columns collapse path by path, as in the proof below
+  (``_monomial_xmasks``).
 
 Permuting the letters 1..n preserves the minor ideal and all its powers, so
 the rank of the d-th power in the weight space 2^i 1^j 0^(n-i-j) of
@@ -80,7 +83,7 @@ from .standard_monomials import (
     IndexTriple,
     _exact_support_rows,
     _monomial_xmasks,
-    _rectify_rows,
+    _rectify_pairs,
     case_tag,
 )
 from .symfunc import OrbitCharacter, _orbits, _unchecked_character, expected_character
@@ -293,15 +296,15 @@ def in_ideal_power(e: ExtElement, d: int) -> bool:
     return True
 
 
-def _weight_label(m: int, twice: frozenset[int]) -> list[int]:
+def _weight_label(m: int, twice: int) -> list[int]:
     """The bit of each letter 1..m of the weight whose letters used twice are
-    ``twice``, for ``_monomial_xmasks``: the letters used once on the bits
-    0..j-1, j = m - len(twice), and those used twice above them, each kind in
-    order."""
+    the bits of ``twice`` (bit v for the letter v), for ``_monomial_xmasks``:
+    the letters used once on the bits 0..j-1, j = m - |twice|, and those used
+    twice above them, each kind in order."""
     label = [0] * (m + 1)
-    once, rest = 0, m - len(twice)
+    once, rest = 0, m - twice.bit_count()
     for v in range(1, m + 1):
-        if v in twice:
+        if twice >> v & 1:
             label[v], rest = 1 << rest, rest + 1
         else:
             label[v], once = 1 << once, once + 1
@@ -316,17 +319,21 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     add over it (ranks add up over weight spaces).
 
     A tableau has a + b entries on m letters, none used more than twice, so
-    its monomial lies in a weight space 2^i 1^j with i = a + b - m.  The
-    letters used twice are the entries both rows share (rectifying keeps
-    the entries).  The label puts the j letters used once on the bits
-    0..j-1 and those used twice above them, each kind in order, so the
-    x-masks of the rectified rows (``_monomial_xmasks``) are the column keys
-    of ``_orbit_columns(j, a - i)``, as in ``_orbit_block``.
+    its monomial lies in a weight space 2^i 1^j with i = a + b - m.
+    ``_rectify_pairs`` rectifies the rows with every check of ``rectify``,
+    classifying the triple once for the support, and gives each its weight:
+    the letters it uses twice, as a bitmask.  Each weight gets one label,
+    which puts the j letters used once on the bits 0..j-1 and those used
+    twice above them, each kind in order, so the x-masks of its rows
+    (``_monomial_xmasks``) are the column keys of
+    ``_orbit_columns(j, a - i)``, as in ``_orbit_block``.
 
     Every weight of the support reads the same block of the d+1-st power,
     ``above``.  Each weight keeps only the pivot rows its own monomials add,
     beside that block (``EchelonBasis.add_beside``), so the block is shared,
-    not copied per weight.
+    not copied per weight.  The rows are read as they come, not grouped
+    into ``_support_table``, so the certificate holds no more rows than the
+    basis rows themselves.
     """
     rows = _exact_support_rows(a, b, d, m)
     if not rows:
@@ -336,16 +343,14 @@ def _support_certificate(a: int, b: int, d: int, m: int) -> tuple[int, int]:
     cols = _orbit_columns(j, a - i)
     above = _orbit_block(d + 1, a, b, i, j)
     low = (1 << j) - 1  # the letters used once, relabelled
-    # per set of letters used twice (one weight): the relabelling and the
-    # pivots the weight's rows have added beside ``above``
-    weights: dict[frozenset[int], tuple[list[int], dict[int, int]]] = {}
+    # per weight (its letters used twice): the label and the pivots the
+    # weight's rows have added beside ``above``
+    weights: dict[int, tuple[list[int], dict[int, int]]] = {}
     added = 0
-    for row1, row2 in rows:
-        twice = frozenset(row1).intersection(row2)  # rectifying keeps the entries
+    for twice, (row1, row2) in _rectify_pairs(rows, a, b, d):
         if twice not in weights:
             weights[twice] = _weight_label(m, twice), {}
         label, beside = weights[twice]
-        row1, row2 = _rectify_rows(row1, row2, a, b, d)
         xmasks = _monomial_xmasks(row1, row2, a, label, low)
         added += above.add_beside(beside, sum(1 << cols[xm] for xm in xmasks))
     return len(rows), added
@@ -377,6 +382,22 @@ class CharacterReport:
             and self.spanning
             and self.basis_count == self.quotient_dim
         )
+
+
+# the slot descriptors' setters; see verify_triple
+_set_a = CharacterReport.a.__set__
+_set_b = CharacterReport.b.__set__
+_set_d = CharacterReport.d.__set__
+_set_n = CharacterReport.n.__set__
+_set_case = CharacterReport.case.__set__
+_set_match = CharacterReport.match.__set__
+_set_computed = CharacterReport.computed.__set__
+_set_expected = CharacterReport.expected.__set__
+_set_basis_count = CharacterReport.basis_count.__set__
+_set_quotient_dim = CharacterReport.quotient_dim.__set__
+_set_independent = CharacterReport.independent.__set__
+_set_spanning = CharacterReport.spanning.__set__
+_set_mismatched_weights = CharacterReport.mismatched_weights.__set__
 
 
 def verify_triple(idx: IndexTriple) -> CharacterReport:
@@ -414,21 +435,24 @@ def verify_triple(idx: IndexTriple) -> CharacterReport:
             independent = independent and added == count
     quotient_dim = computed.evaluate_at_ones()
 
-    return CharacterReport(
-        a=a,
-        b=b,
-        d=d,
-        n=n,
-        case=case_tag(idx),
-        match=match,
-        computed=computed,
-        expected=expected,
-        basis_count=basis_count,
-        quotient_dim=quotient_dim,
-        independent=independent,
-        spanning=rank_added == quotient_dim,
-        mismatched_weights=mismatched,
-    )
+    # filled through the slot descriptors, as in tableaux._unchecked_tableau:
+    # the report compares, hashes and refuses assignment like one built by
+    # keyword, without the frozen __init__'s 13 guarded setattr calls
+    report = object.__new__(CharacterReport)
+    _set_a(report, a)
+    _set_b(report, b)
+    _set_d(report, d)
+    _set_n(report, n)
+    _set_case(report, case_tag(idx))
+    _set_match(report, match)
+    _set_computed(report, computed)
+    _set_expected(report, expected)
+    _set_basis_count(report, basis_count)
+    _set_quotient_dim(report, quotient_dim)
+    _set_independent(report, independent)
+    _set_spanning(report, rank_added == quotient_dim)
+    _set_mismatched_weights(report, mismatched)
+    return report
 
 
 def telescoping_check(a: int, b: int, n: int) -> bool:

@@ -93,22 +93,37 @@ def indices_of(mask: int) -> tuple[int, ...]:
 class ExtElement:
     """A GF(2) linear combination of squarefree monomials.
 
-    Immutable.  Supports ``+`` (symmetric difference of term sets) and ``*``
-    (distributed monomial products, accumulated mod 2).
+    Immutable: setting or deleting an attribute raises ``AttributeError``, so
+    the hash and the checked term masks stay those of construction.
+    Supports ``+`` (symmetric difference of term sets) and ``*`` (distributed
+    monomial products, accumulated mod 2).
     """
 
     __slots__ = ("_terms", "n")
 
     def __init__(self, terms: Iterable[tuple[int, int]], n: int):
-        _check_n(n)
-        self._terms = terms = frozenset(terms)
-        self.n = n
+        if type(n) is not int or not 1 <= n <= MAX_N:  # a valid n skips the call
+            _check_n(n)
+        terms = frozenset(terms)
         used = 0
         for xm, ym in terms:
             used |= xm | ym
         # a bit at n or above, or a negative mask, leaves bits after the shift
         if used >> n:
             raise ValueError(f"term mask out of range for n={n}")
+        # through the slot descriptors, which __setattr__ does not guard
+        _set_terms(self, terms)
+        _set_n(self, n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ExtElement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ExtElement is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slots
+        return ExtElement, (self._terms, self.n)
 
     @classmethod
     def zero(cls, n: int) -> "ExtElement":
@@ -170,6 +185,11 @@ class ExtElement:
 
     def __repr__(self) -> str:
         return f"ExtElement({self}, n={self.n})"
+
+
+# the slot descriptors' setters, for ExtElement.__init__ only
+_set_terms = ExtElement._terms.__set__
+_set_n = ExtElement.n.__set__
 
 
 def _times_minor(

@@ -24,19 +24,24 @@ bidegree (a, b) is indexed by cap-2 semistandard tableaux through a
 case-split rectification map that turns them into classical semistandard
 tableaux by swapping maximal blocks of identical columns.
 ``_rectify_rows`` and ``_exact_support_rows`` do that work on raw row
-pairs; ``rectify`` and ``exact_support_basis`` wrap them in ``Tableau``s,
-and the basis certificate reads the rows as they are.  Straight means in the
-image of rectification: ``rows_two_straight`` relabels its rows onto 1..m and
-looks them up in the rectified ``_exact_support_rows``, cached per
-(a, b, d, m), so straightness has no case split of its own.
+pairs; ``rectify`` and ``exact_support_basis`` wrap them in ``Tableau``s.
+``_rectify_pairs`` rectifies the pairs of one support with every check,
+classifying the triple once, and gives each its weight (the letters used
+twice, as a bitmask): the basis certificate reads its rows as they come,
+and ``_support_table`` groups them by weight and caches the table for the
+straightness lookup and for straightening.  Straight means in the image of
+rectification: ``rows_two_straight`` relabels its rows onto 1..m and looks
+them up in ``_straight_rows``, the rows of that table, so straightness has
+no case split of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import eq, lt
+from itertools import chain, combinations, groupby
+from operator import eq, itemgetter, le, lt
+from typing import Iterable, Iterator
 
 from .gf2_exterior import MAX_N, ExtElement, _is_int, _times_minor
 from .symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
@@ -256,30 +261,72 @@ def rectify(t: Tableau, idx: IndexTriple) -> Tableau:
     return _unchecked_tableau(*_rectify_rows(t.row1, t.row2, idx.a, idx.b, idx.d), t.n)
 
 
-def _rectify_rows(
-    row1: tuple[int, ...], row2: tuple[int, ...], a: int, b: int, d: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _rectify_rows(row1: tuple[int, ...], row2: tuple[int, ...], a: int, b: int, d: int) -> Rows:
     """``rectify`` on raw rows, with every check but the alphabet's."""
-    case = classify_triple(a, b, d)
-    if case == CASE_OFF_BY_ONE and (len(row1), len(row2)) == (a, a):
-        if row1 != row2 or not rows_are_2ssyt(row1, row2):
-            raise DomainError(
-                f"square input must be an identical-row cap-2 tableau: {row1} / {row2}"
-            )
-        row1, row2 = row1 + row1[-1:], row1[:-1]
-    else:
-        if (len(row1), len(row2)) != (a + b - d, d) or not rows_are_2ssyt(row1, row2):
-            raise DomainError(
-                f"rows {row1} / {row2} not cap-2 semistandard of shape {(a + b - d, d)}"
-            )
-        if case == CASE_ALL_EQUAL and row1 == row2:
-            raise DomainError(f"identical rows are excluded for a=b=d: {row1} / {row2}")
+    ((_, rows),) = _rectify_pairs(((row1, row2),), a, b, d)
+    return rows
 
-    if not any(map(eq, row1, row2)):
-        return row1, row2  # no identical column to swap
+
+def _rectify_pairs(pairs: Iterable[Rows], a: int, b: int, d: int) -> Iterator[tuple[int, Rows]]:
+    """``_rectify_rows`` on each (row1, row2) of ``pairs``, in order, each
+    with its weight: the letters the pair uses twice, at bit v for the
+    letter v.
+
+    The triple is classified once.  Pairs come in runs of one row 1 (as
+    ``_exact_support_rows`` lists them), and the checks and the letters of
+    that row are found once per run; every pair still passes every check.
+    A checked pair is cap-2, so neither row repeats a letter and the letters
+    used twice are those both rows hold; rectifying keeps the entries.
+    """
+    case = classify_triple(a, b, d)
+    len1 = a + b - d
+    shape = (len1, d)
+    square = (a, a) if case == CASE_OFF_BY_ONE else None
+    all_equal = case == CASE_ALL_EQUAL
+    bit = _LETTER_BITS.__getitem__
+    for row1, run in groupby(pairs, itemgetter(0)):
+        strict1 = len(row1) == len1 and all(map(lt, row1, row1[1:]))
+        letters1 = sum(map(bit, row1))
+        for pair in run:
+            row2 = pair[1]
+            if (len(row1), len(row2)) == square:
+                if row1 != row2 or not rows_are_2ssyt(row1, row2):
+                    raise DomainError(
+                        f"square input must be an identical-row cap-2 tableau: {row1} / {row2}"
+                    )
+                twice = letters1
+                rows = _swap_identical_columns(row1 + row1[-1:], row1[:-1], False)
+            else:
+                if not (
+                    strict1
+                    and len(row2) == d
+                    and all(map(lt, row2, row2[1:]))
+                    and all(map(le, row1, row2))
+                ):
+                    raise DomainError(
+                        f"rows {row1} / {row2} not cap-2 semistandard of shape {shape}"
+                    )
+                if all_equal and row1 == row2:
+                    raise DomainError(f"identical rows are excluded for a=b=d: {row1} / {row2}")
+                twice = letters1 & sum(map(bit, row2))
+                if any(map(eq, row1, row2)):
+                    rows = _swap_identical_columns(row1, row2, all_equal)
+                else:
+                    rows = pair  # nothing to swap: the pair itself, not a copy
+            yield twice, rows
+
+
+# the bit 1 << v of each letter v of an alphabet 1..MAX_N
+_LETTER_BITS = [1 << v for v in range(MAX_N + 1)]
+
+
+def _swap_identical_columns(row1: tuple[int, ...], row2: tuple[int, ...], all_equal: bool) -> Rows:
+    """The swaps of ``rectify`` on checked rows; ``all_equal`` for the square
+    shape of a = b = d, whose block reaching the last column swaps one column
+    to the left."""
     new1, new2 = list(row1), list(row2)
     end = len(row2)
-    if case == CASE_ALL_EQUAL:
+    if all_equal:
         # the identical columns from `end` on reach the last column of the
         # square; end >= 1 because the rows are not identical
         while row1[end - 1] == row2[end - 1]:
@@ -398,11 +445,30 @@ def rows_two_straight(
 
 
 @lru_cache(maxsize=None)
+def _support_table(a: int, b: int, d: int, m: int) -> dict[int, list[Rows]]:
+    """The straight rows of (a, b, d) whose letters are exactly 1..m, by
+    weight: the letters used twice, as a bitmask, map to the rectified
+    ``_exact_support_rows`` of that weight, in their order, every row
+    checked (``_rectify_pairs``).
+
+    Cached for the straightness lookup and for straightening, for the life
+    of the process; m is at most the number of entries, a + b.  The caller
+    must not change it.  The basis certificate reads the rows from
+    ``_rectify_pairs`` as they come and never fills this cache.
+    """
+    table: dict[int, list[Rows]] = {}
+    for twice, rows in _rectify_pairs(_exact_support_rows(a, b, d, m), a, b, d):
+        table.setdefault(twice, []).append(rows)
+    return table
+
+
+@lru_cache(maxsize=None)
 def _straight_rows(a: int, b: int, d: int, m: int) -> frozenset[Rows]:
     """The straight rows of (a, b, d) whose letters are exactly 1..m: the
-    image of ``_exact_support_rows`` under ``_rectify_rows``.  Cached for the
-    life of the process; m is at most the number of entries, a + b."""
-    return frozenset(_rectify_rows(*rows, a, b, d) for rows in _exact_support_rows(a, b, d, m))
+    image of ``_exact_support_rows`` under ``_rectify_rows``, the rows of
+    every weight of ``_support_table``.  Cached for the life of the
+    process."""
+    return frozenset(chain.from_iterable(_support_table(a, b, d, m).values()))
 
 
 def _relabel_rows(rows: Rows) -> tuple[Rows, list[int]]:

@@ -49,6 +49,7 @@ from .standard_monomials import (
     _monomial_xmasks,
     _relabel_rows,
     _straight_rows,
+    _support_table,
     _tail_masks,
 )
 from .tableaux import Tableau, _unchecked_tableau, rows_are_ssyt
@@ -319,9 +320,10 @@ def _weight_expansion(
     letters used twice are the bits of ``twice``: one weight space.
 
     Each row's monomial is one vector in the columns of ``_orbit_columns``,
-    labelled as in the basis certificate.  The straight rows of the weight
-    are reduced beside the block of the d+1-st power, each pivot with the
-    bitmask of the straight rows it sums (``EchelonBasis.reduce_beside``).
+    labelled as in the basis certificate.  The straight rows of the weight,
+    its entry of the cached ``_support_table``, are reduced beside the
+    block of the d+1-st power, each pivot with the bitmask of the straight
+    rows it sums (``EchelonBasis.reduce_beside``).
     The certificate finds them independent modulo the block and spanning
     the d-th power over it, so a row of the d-th power reduces to 0 and
     the bits it collects name its one expansion.  A dependent straight row
@@ -330,7 +332,7 @@ def _weight_expansion(
     """
     i = twice.bit_count()
     j = m - i
-    label = _weight_label(m, frozenset(v for v in range(1, m + 1) if twice >> v & 1))
+    label = _weight_label(m, twice)
     low = (1 << j) - 1
     cols = _orbit_columns(j, a - i)
 
@@ -338,7 +340,7 @@ def _weight_expansion(
         return sum(1 << cols[xm] for xm in _monomial_xmasks(*rows, a, label, low))
 
     above = _orbit_block(d + 1, a, b, i, j)
-    straight = sorted(r for r in _straight_rows(a, b, d, m) if _letters_used_twice(r) == twice)
+    straight = _support_table(a, b, d, m).get(twice, [])
     pivots: dict[int, tuple[int, int]] = {}
     for k, rows in enumerate(straight):
         rest, used = above.reduce_beside(pivots, vector(rows))

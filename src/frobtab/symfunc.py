@@ -55,6 +55,9 @@ CASE_ALL_EQUAL = "all_equal"
 CASE_OFF_BY_ONE = "off_by_one"
 
 
+_INT = frozenset({int})
+
+
 class SymPoly:
     """A polynomial in t1..tn over the integers, stored sparsely."""
 
@@ -66,7 +69,13 @@ class SymPoly:
         clean: dict[tuple[int, ...], int] = {}
         for exps, c in coeffs.items():
             exps = tuple(exps)
-            if len(exps) != n or any(e < 0 for e in exps):
+            if (
+                len(exps) != n
+                # one set test when every type is exactly int, the usual case;
+                # otherwise each must be a non-bool int (_is_int)
+                or not (_INT.issuperset(map(type, exps)) or all(map(_is_int, exps)))
+                or min(exps) < 0
+            ):
                 raise ValueError(f"bad exponent vector {exps} for n={n}")
             if not _is_int(c):
                 raise ValueError(f"coefficient {c!r} of {exps} is not an int")

@@ -21,6 +21,7 @@ builds each character through the checked ``OrbitCharacter`` constructor.
 """
 
 import math
+from dataclasses import FrozenInstanceError, fields
 from functools import lru_cache
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from frobtab import characters, gf2_exterior, standard_monomials
 from frobtab.characters import (
+    CharacterReport,
     _ideal_span_cached,
     _multilinear_block,
     _orbit_block,
@@ -1116,12 +1118,16 @@ def test_verify_triple_builds_no_ext_element(monkeypatch):
 
     monkeypatch.setattr(ExtElement, "__init__", counted)
     _support_certificate.cache_clear()
+    tables = standard_monomials._support_table.cache_info().currsize
     for n in range(1, 9):
         for a in range(0, 6):
             for b in range(0, a + 1):
                 for d in range(0, b + 1):
                     assert verify_triple(IndexTriple(a, b, d, n)).ok
     assert built == []
+    # the certificate reads each support's rows as they come, and fills no
+    # support table
+    assert standard_monomials._support_table.cache_info().currsize == tables
     # one support per orbit: the (a, b, d, m) with a <= m <= min(8, a + b)
     assert _support_certificate.cache_info().currsize == 179
     # the counter sees the element path the certificate no longer takes
@@ -1182,6 +1188,24 @@ def test_verify_triple_asks_only_for_the_supports_of_its_orbits(monkeypatch):
             asked.clear()
             assert verify_triple(IndexTriple(a, b, d, n)).ok
             assert sorted(asked) == list(range(a, min(n, a + b) + 1)), (a, b, d, n)
+
+
+def test_a_report_from_verify_triple_is_like_one_built_by_keyword():
+    # verify_triple fills the report's slots through their descriptors
+    for idx in [IndexTriple(3, 2, 1, 5), IndexTriple(2, 1, 1, 2), IndexTriple(4, 4, 4, 9)]:
+        rep = verify_triple(idx)
+        by_keyword = CharacterReport(**{f.name: getattr(rep, f.name) for f in fields(rep)})
+        assert rep == by_keyword and repr(rep) == repr(by_keyword)
+        assert rep.ok and by_keyword.ok
+        for built in (rep, by_keyword):
+            with pytest.raises(FrozenInstanceError):
+                built.match = False
+            with pytest.raises(FrozenInstanceError):
+                del built.n
+            # the characters are unhashable, so neither report hashes
+            with pytest.raises(TypeError, match="unhashable type: 'OrbitCharacter'"):
+                hash(built)
+        assert rep.match and rep.n == idx.n
 
 
 def test_verify_triple_reads_the_character_once(monkeypatch):

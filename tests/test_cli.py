@@ -237,7 +237,7 @@ def test_a_fault_while_verifying_is_an_internal_error(tmp_path, capsys, monkeypa
     # the traceback of the fault comes first, then the one-line message
     err_lines = err.splitlines()
     assert err_lines[0] == "Traceback (most recent call last):"
-    assert ", in _rectify_rows" in err
+    assert ", in _rectify_pairs" in err
     assert err_lines[-1] == (
         "error: verifying (a=2, b=1, d=1, n=2): "
         "rows (1,) / (1, 2) not cap-2 semistandard of shape (2, 1)"

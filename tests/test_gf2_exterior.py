@@ -1,6 +1,8 @@
 """Arithmetic laws and rendering of the squarefree GF(2) ring."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,6 +178,22 @@ def test_the_alphabet_checks_keep_their_messages():
         ExtElement((), 33)
     with pytest.raises(ValueError, match="variable index True is not an int in 1..3"):
         x_var(True, 3)
+
+
+def test_an_element_refuses_assignment_and_deletion():
+    # assigning n once changed the hash, and assigning the terms got past
+    # the range check
+    e = x_var(1, 3)
+    h = hash(e)
+    with pytest.raises(AttributeError):
+        e.n = 5
+    with pytest.raises(AttributeError):
+        e._terms = frozenset({(1 << 20, 0)})
+    with pytest.raises(AttributeError):
+        del e.n
+    assert (e.n, e.term_masks, hash(e)) == (3, frozenset({(1, 0)}), h)
+    # a copy or a pickle is rebuilt by the checked constructor
+    assert copy.deepcopy(e) == e and pickle.loads(pickle.dumps(e)) == e
 
 
 @pytest.mark.parametrize("n", [1, 5, 32])

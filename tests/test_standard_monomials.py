@@ -17,9 +17,11 @@ from frobtab.standard_monomials import (
     basis_index_set,
     case_tag,
     _exact_support_rows,
+    _rectify_pairs,
     _rectify_rows,
     _relabel_rows,
     _straight_rows,
+    _support_table,
     exact_support_basis,
     is_two_straight,
     rectify,
@@ -28,7 +30,14 @@ from frobtab.standard_monomials import (
     two_standard_monomial,
 )
 from frobtab.symfunc import CASE_ALL_EQUAL, CASE_OFF_BY_ONE, classify_triple
-from frobtab.tableaux import Tableau, enumerate_tableaux, rows_are_ssyt, weight
+from frobtab.straightening import _letters_used_twice
+from frobtab.tableaux import (
+    Tableau,
+    enumerate_tableaux,
+    rows_are_2ssyt,
+    rows_are_ssyt,
+    weight,
+)
 
 
 def test_standard_monomial_golden_string():
@@ -343,9 +352,11 @@ def test_straightness_lookup_agrees_with_the_inequality_rules():
 
 @pytest.fixture
 def cold_straight_rows():
-    """Empty the straight-rows cache before and after the test."""
+    """Empty the straight-rows caches before and after the test."""
+    _support_table.cache_clear()
     _straight_rows.cache_clear()
     yield
+    _support_table.cache_clear()
     _straight_rows.cache_clear()
 
 
@@ -406,6 +417,127 @@ def test_exact_support_rows_equal_the_filtered_rows_in_order():
                     checked += 1
                     rows += len(got)
     assert (checked, rows) == (1290, 96288)
+
+
+def rectify_one_pair(row1, row2, a, b, d):
+    """``_rectify_rows`` pair by pair, the oracle of ``_rectify_pairs``: the
+    triple classified and every check run for each pair on its own."""
+    case = classify_triple(a, b, d)
+    if case == CASE_OFF_BY_ONE and (len(row1), len(row2)) == (a, a):
+        if row1 != row2 or not rows_are_2ssyt(row1, row2):
+            raise DomainError(
+                f"square input must be an identical-row cap-2 tableau: {row1} / {row2}"
+            )
+        row1, row2 = row1 + row1[-1:], row1[:-1]
+    else:
+        if (len(row1), len(row2)) != (a + b - d, d) or not rows_are_2ssyt(row1, row2):
+            raise DomainError(
+                f"rows {row1} / {row2} not cap-2 semistandard of shape {(a + b - d, d)}"
+            )
+        if case == CASE_ALL_EQUAL and row1 == row2:
+            raise DomainError(f"identical rows are excluded for a=b=d: {row1} / {row2}")
+    if not any(map(eq, row1, row2)):
+        return row1, row2
+    new1, new2 = list(row1), list(row2)
+    end = len(row2)
+    if case == CASE_ALL_EQUAL:
+        while row1[end - 1] == row2[end - 1]:
+            end -= 1
+    for c in range(len(row2)):
+        if row1[c] != row2[c]:
+            continue
+        if c < end:
+            new1[c + 1], new2[c] = row2[c], row1[c + 1]
+        else:
+            new1[c], new2[c - 1] = row2[c - 1], row1[c]
+    return tuple(new1), tuple(new2)
+
+
+def test_the_support_table_groups_the_rectified_rows_by_weight_in_order(cold_straight_rows):
+    checked = rows = weights = 0
+    for a in range(0, 8):
+        for b in range(0, a + 1):
+            for d in range(0, b + 1):
+                for m in range(0, a + b + 2):
+                    key = (a, b, d, m)
+                    pairs = _exact_support_rows(*key)
+                    stream = []
+                    want = {}
+                    for row1, row2 in pairs:
+                        rectified = rectify_one_pair(row1, row2, a, b, d)
+                        assert _rectify_rows(row1, row2, a, b, d) == rectified, key
+                        twice = _letters_used_twice(rectified)
+                        stream.append((twice, rectified))
+                        want.setdefault(twice, []).append(rectified)
+                    # what the certificate reads, in order, and the table of it
+                    assert list(_rectify_pairs(pairs, a, b, d)) == stream, key
+                    table = _support_table(*key)
+                    assert table == want, key
+                    assert _straight_rows(*key) == frozenset(
+                        itertools.chain.from_iterable(want.values())
+                    ), key
+                    _support_table.cache_clear()  # keep the test's memory flat
+                    _straight_rows.cache_clear()
+                    checked += 1
+                    rows += sum(map(len, table.values()))
+                    weights += len(table)
+    assert (checked, rows) == (1290, 96288)
+    assert weights < rows
+
+
+# (a, b, d), pairs, and the message of the first bad pair
+BAD_PAIRS = [
+    (
+        (2, 1, 1),
+        [((1, 2), (2,)), ((2, 1), (3,))],
+        "rows (2, 1) / (3,) not cap-2 semistandard of shape (2, 1)",
+    ),
+    (
+        (3, 1, 1),
+        [((1, 2, 4), (3,)), ((1, 2, 4), (0,))],  # the second pair of one row 1
+        "rows (1, 2, 4) / (0,) not cap-2 semistandard of shape (3, 1)",
+    ),
+    (
+        (3, 1, 1),
+        [((1, 2, 4), (3, 5))],
+        "rows (1, 2, 4) / (3, 5) not cap-2 semistandard of shape (3, 1)",
+    ),
+    (
+        (2, 2, 2),
+        [((1, 3), (2, 3)), ((1, 2), (1, 2))],
+        "identical rows are excluded for a=b=d: (1, 2) / (1, 2)",
+    ),
+    (
+        (2, 2, 1),
+        [((1, 2, 3), (3,)), ((1, 2), (1, 3))],
+        "square input must be an identical-row cap-2 tableau: (1, 2) / (1, 3)",
+    ),
+    (
+        (2, 2, 1),
+        [((2, 1), (2, 1))],
+        "square input must be an identical-row cap-2 tableau: (2, 1) / (2, 1)",
+    ),
+]
+
+
+@pytest.mark.parametrize("triple, pairs, message", BAD_PAIRS)
+def test_rectification_errors_keep_their_text_on_every_path(
+    monkeypatch, cold_straight_rows, triple, pairs, message
+):
+    a, b, d = triple
+    with pytest.raises(DomainError) as one:
+        for pair in pairs:
+            rectify_one_pair(*pair, a, b, d)
+    assert str(one.value) == message
+    with pytest.raises(DomainError) as checked:
+        for pair in pairs:
+            _rectify_rows(*pair, a, b, d)
+    assert str(checked.value) == message
+    # the support table runs the same checks on the rows it reads
+    monkeypatch.setattr(standard_monomials, "_exact_support_rows", lambda *key: pairs)
+    with pytest.raises(DomainError) as table:
+        _support_table(a, b, d, 4)
+    assert str(table.value) == message
 
 
 def test_exact_support_basis_is_the_basis_on_exactly_m_letters():

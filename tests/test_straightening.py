@@ -314,15 +314,26 @@ def exact_support_cases(max_a):
 
 
 def test_two_straighten_agrees_with_the_junction_rules_on_every_letter_pattern(monkeypatch):
-    # from a cold memo, so every pattern runs the reduction
+    # from a cold memo and cold weight tables, so every pattern runs the
+    # reduction; each weight's expansion, read directly, gives the same sum,
+    # a straight pattern included
     monkeypatch.setattr(straightening, "_TS_CACHE", {})
+    straightening._weight_expansion.cache_clear()
+    straightening._support_table.cache_clear()
     cases = list(exact_support_cases(4))
     nonzero = 0
     for t, idx in cases:
+        rows = (t.row1, t.row2)
         got = {(u.row1, u.row2) for u in two_straighten(t, idx).terms}
-        want = junction_oracle._ts((t.row1, t.row2), idx.a, idx.b, idx.d)
+        want = junction_oracle._ts(rows, idx.a, idx.b, idx.d)
         assert got == want, (idx, t)
-        nonzero += _tail_masks(t.row1, t.row2, idx.a) is not None
+        if _tail_masks(t.row1, t.row2, idx.a) is not None:
+            m = len(set(t.row1 + t.row2))
+            expand = straightening._weight_expansion(
+                idx.a, idx.b, idx.d, m, straightening._letters_used_twice(rows)
+            )
+            assert expand(rows) == want, (idx, t)
+            nonzero += 1
     assert (len(cases), nonzero) == (3993, 1423)
 
 
@@ -387,16 +398,20 @@ def test_two_straighten_validates_input():
 
 
 def test_a_missing_straight_row_raises_a_typed_error_under_python_O():
-    # Drop one straight row of (2, 1, 1) on 1..3.  That row is no longer
-    # straight, and the rows left in its weight cannot expand it, so the
-    # reduction leaves a remainder.  A check written as ``assert`` would
-    # vanish under python -O.
+    # Drop the basis row of (2, 1, 1) on 1..3 whose rectified rows are the
+    # least.  Those rows are no longer straight, and the rows left in their
+    # weight cannot expand them, so the reduction leaves a remainder.  A
+    # check written as ``assert`` would vanish under python -O.
     code = (
-        "from frobtab import straightening\n"
-        "from frobtab.standard_monomials import IndexTriple, _straight_rows\n"
+        "from frobtab import standard_monomials, straightening\n"
+        "from frobtab.standard_monomials import IndexTriple, _exact_support_rows, _rectify_rows\n"
         "from frobtab.tableaux import Tableau\n"
-        "dropped = min(_straight_rows(2, 1, 1, 3))\n"
-        "straightening._straight_rows = lambda *key: _straight_rows(*key) - {dropped}\n"
+        "basis = _exact_support_rows(2, 1, 1, 3)\n"
+        "gone = min(basis, key=lambda rows: _rectify_rows(*rows, 2, 1, 1))\n"
+        "dropped = _rectify_rows(*gone, 2, 1, 1)\n"
+        "standard_monomials._exact_support_rows = lambda *key: [\n"
+        "    rows for rows in _exact_support_rows(*key) if rows != gone\n"
+        "]\n"
         "try:\n"
         "    straightening.two_straighten(Tableau(*dropped, 3), IndexTriple(2, 1, 1, 3))\n"
         "except straightening.StraighteningInvariantError:\n"
@@ -411,12 +426,19 @@ def test_a_dependent_straight_row_raises_a_typed_error(monkeypatch):
     # a non-straight row of the golden example's weight, added to the
     # straight rows, is congruent to a sum of them
     rows = ((1, 2, 2, 4, 5), (3, 3, 6, 7, 7))
-    original = straightening._straight_rows
-    monkeypatch.setattr(straightening, "_straight_rows", lambda *key: original(*key) | {rows})
+    twice = 1 << 2 | 1 << 3 | 1 << 7
+    original = straightening._support_table
+
+    def with_rows(*key):
+        table = dict(original(*key))
+        table[twice] = [*table.get(twice, ()), rows]
+        return table
+
+    monkeypatch.setattr(straightening, "_support_table", with_rows)
     straightening._weight_expansion.cache_clear()
     try:
         with pytest.raises(StraighteningInvariantError, match="are dependent"):
-            straightening._weight_expansion(5, 5, 5, 7, 1 << 2 | 1 << 3 | 1 << 7)
+            straightening._weight_expansion(5, 5, 5, 7, twice)
     finally:
         straightening._weight_expansion.cache_clear()
 

@@ -98,11 +98,30 @@ def test_sympoly_variable_index_is_checked():
         ({(0,): True}, 1),
         ({(0,) * 40: 1}, 40),
         ({(0,) * 2: 1}, 2.0),
+        ({(1.5, True): 2}, 2),
+        ({(1, True): 1}, 2),
+        ({(1, 1.0): 1}, 2),
+        ({(1, -1): 1}, 2),
+        ({(1, "1"): 1}, 2),
+        ({(1, None): 1}, 2),
+        ({(1,): 1}, 2),
     ],
 )
 def test_sympoly_rejects_what_is_not_an_int_polynomial_in_1_to_max_n(coeffs, n):
     with pytest.raises(ValueError):
         SymPoly(coeffs, n)
+
+
+def test_sympoly_exponents_are_non_bool_ints_at_least_0():
+    # a float or a bool exponent once built 2*t1^1.5*t2
+    with pytest.raises(ValueError, match=r"bad exponent vector \(1\.5, True\) for n=2"):
+        SymPoly({(1.5, True): 2}, 2)
+
+    class Exponent(int):
+        pass
+
+    # an int subclass other than bool is an int
+    assert SymPoly({(Exponent(2), 0): 1}, 2) == SymPoly({(2, 0): 1}, 2)
 
 
 def test_sympoly_checks_keep_their_messages():
